@@ -175,6 +175,13 @@ _REFERENCE_WEIGHTS: Dict[str, Callable[..., Dict]] = {
 }
 
 
+def _check_partition_size(partition: partitions.Partition, topology: Topology):
+    """A partition must label every node of its topology (else a 422)."""
+    labelled = len(partition.labels)
+    if labelled != topology.n:
+        raise ReproError(f"partition labels {labelled} of {topology.n} nodes")
+
+
 def reference_instance(spec: InstanceSpec) -> Instance:
     """Build a spec through the **reference** constructors, uncached.
 
@@ -211,6 +218,7 @@ def reference_instance(spec: InstanceSpec) -> Instance:
             raise ReproError(
                 f"no reference twin for partition builder {name!r}"
             ) from None
+        _check_partition_size(partition, topology)
     return Instance(spec=spec, topology=topology, tree=tree, partition=partition)
 
 
@@ -341,6 +349,7 @@ def hydrate(spec: InstanceSpec) -> Instance:
                 f"{sorted(PARTITION_BUILDERS)}"
             ) from None
         partition = partition_builder(topology, *args)
+        _check_partition_size(partition, topology)
     instance = Instance(
         spec=spec, topology=topology, tree=tree, partition=partition
     )

@@ -438,11 +438,8 @@ def run_chaos_suite(
             # the pool won the race, which is also fine — anything else
             # is a violation.
             name, spec = pairs[round_index % len(pairs)]
-            probe = service.handle(
-                ops[0],
-                {"spec": spec_to_json(spec), "seed": 10_000 + round_index},
-                deadline_s=0.0,
-            )
+            probe_body = {"spec": spec_to_json(spec), "seed": 10_000 + round_index}
+            probe = service.handle(ops[0], probe_body, deadline_s=0.0)
             report.requests += 1
             if probe.status == 504 and probe.body.get("kind") == "deadline":
                 report.clean_errors += 1
@@ -455,6 +452,9 @@ def run_chaos_suite(
                 raise ChaosViolation(
                     f"zero-deadline probe: unexpected {probe.status}: {probe.body}"
                 )
+            # Join the probe's background computation: its store write
+            # must not consume a fault armed for the next round's slots.
+            service.handle(ops[0], probe_body)
 
             # Restart: reopen the store (sweeps killed writers' temp
             # files, drops the memory layer) and point the service at

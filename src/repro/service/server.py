@@ -42,6 +42,12 @@ Request lifecycle hardening
   (:func:`repro.core.batch.measure_batch`); every grouped response is
   ==-identical to the per-instance path, and the ``batched`` counter
   in ``/v1/stats`` tracks how many requests were served this way.
+* **Vector ladder for large instances** — a direct-mode construction
+  on ``n >= VECTOR_LADDER_MIN_N`` nodes climbs the vectorized doubling
+  ladder (:func:`repro.core.batch.find_shortcut_doubling_batch`) as a
+  batch of one: the same shortcut bit for bit, several times faster.
+* **Runtime Theorem 3 check** — a shortcut with block parameter
+  above ``3b`` is a ``500`` counted as ``guarantee_violations``.
 
 Computation is deterministic given the request (seeded constructions,
 direct kernels), which is what makes results content-addressable and
@@ -63,7 +69,7 @@ from repro.apps.connectivity import connected_components
 from repro.apps.mincut import approximate_min_cut
 from repro.apps.mst import minimum_spanning_tree
 from repro.core import quality
-from repro.core.batch import measure_batch
+from repro.core.batch import find_shortcut_doubling_batch, measure_batch
 from repro.core.doubling import find_shortcut_doubling
 from repro.errors import ReproError
 from repro.graphs.batch_csr import numpy_available
@@ -72,10 +78,16 @@ from repro.service.store import PersistentStore, canonical_json, spec_key
 API_VERSION = "v1"
 DEFAULT_DEADLINE_S = 30.0
 DEFAULT_RETRY_AFTER_S = 0.05
+# Measured crossover (batch of one, 2-core Xeon): grid n~484, others n<=256.
+VECTOR_LADDER_MIN_N = 512
 
 
 class BadRequest(ReproError):
     """Malformed request (unknown family/op, bad JSON, bad params)."""
+
+
+class GuaranteeViolation(RuntimeError):
+    """A constructed shortcut broke a bound the paper proves (a bug)."""
 
 
 # ----------------------------------------------------------------------
@@ -98,21 +110,46 @@ def _require_weights(instance: Instance) -> None:
         raise BadRequest("this operation needs a weighted spec")
 
 
+def _find_shortcut(instance: Instance, params: Dict):
+    """The request's Appendix A doubling search, routed by size.
+
+    Large direct-mode instances climb the vector ladder, which builds
+    the same shortcut bit for bit.  Everything else runs the scalar
+    search, which stays the reference: ``batch="loop"`` calls it.
+    """
+    _require_partition(instance)
+    topology, tree, partition = instance.topology, instance.tree, instance.partition
+    if (
+        params["mode"] == "direct"
+        and topology.n >= VECTOR_LADDER_MIN_N
+        and numpy_available()
+    ):
+        return find_shortcut_doubling_batch(
+            [topology], [tree], [partition], seeds=params["seed"], batch="vector"
+        )[0]
+    return find_shortcut_doubling(
+        topology, tree, partition, seed=params["seed"], mode=params["mode"]
+    )
+
+
+def _check_guarantee(outcome, report) -> None:
+    """Theorem 3: the block parameter is at most ``3b``."""
+    if report.block_parameter > 3 * outcome.b:
+        raise GuaranteeViolation(
+            f"block parameter {report.block_parameter} exceeds "
+            f"3b = {3 * outcome.b}"
+        )
+
+
 def _construct(instance: Instance, params: Dict):
     """One doubling construction + quality report for shortcut/quality."""
-    _require_partition(instance)
-    outcome = find_shortcut_doubling(
-        instance.topology,
-        instance.tree,
-        instance.partition,
-        seed=params["seed"],
-        mode=params["mode"],
-    )
+    outcome = _find_shortcut(instance, params)
     report = quality.measure(
         outcome.result.shortcut,
         instance.topology,
         with_dilation=params["with_dilation"],
     )
+    _check_guarantee(outcome, report)
     return outcome, report
 
 
@@ -314,6 +351,7 @@ class ServiceStats:
     deadline_expired: int = 0
     bad_requests: int = 0
     compute_errors: int = 0
+    guarantee_violations: int = 0
     store_failures: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -513,9 +551,8 @@ class ShortcutService:
         """Worker-side computation; returns ``(kind, payload)``.
 
         Exceptions never escape (a poisoned future would wedge every
-        single-flight joiner): domain errors become ``invalid``,
-        anything else ``error``.  The in-flight slot is always
-        released.
+        single-flight joiner); :meth:`_failed` classifies them.  The
+        in-flight slot is always released.
         """
         try:
             instance = hydrate(spec)
@@ -523,16 +560,22 @@ class ShortcutService:
             self.stats.computed += 1
             self._store_put(key, result)
             return ("ok", result)
-        except ReproError as error:
-            self.stats.compute_errors += 1
-            return ("invalid", str(error))
         except Exception as error:  # noqa: BLE001 — clean error, never a wrong answer
-            self.stats.compute_errors += 1
-            return ("error", f"{type(error).__name__}: {error}")
+            return self._failed(error)
         finally:
             with self._lock:
                 self._inflight.pop(key, None)
                 self._pending -= 1
+
+    def _failed(self, error: Exception) -> Tuple[str, str]:
+        """Count a failed computation: domain errors become ``invalid``
+        (422), anything else ``error`` (500)."""
+        self.stats.compute_errors += 1
+        if isinstance(error, ReproError):
+            return ("invalid", str(error))
+        if isinstance(error, GuaranteeViolation):
+            self.stats.guarantee_violations += 1
+        return ("error", f"{type(error).__name__}: {error}")
 
     # -- batched cold misses -------------------------------------------
 
@@ -584,7 +627,8 @@ class ShortcutService:
         """Compute one pending-window group.
 
         Constructions stay per-instance (their seeded randomness is
-        request-scoped); the quality reports of the whole group run
+        request-scoped, and large ones take the vector ladder as on
+        the unbatched path); the quality reports of the whole group run
         through one batch-layer call.  A failure stays confined to its
         own item — on any batch-call error the group falls back to
         per-instance measurement so errors attribute exactly as on the
@@ -594,22 +638,9 @@ class ShortcutService:
         for key, spec, params, future in group.items:
             try:
                 instance = hydrate(spec)
-                _require_partition(instance)
-                outcome = find_shortcut_doubling(
-                    instance.topology,
-                    instance.tree,
-                    instance.partition,
-                    seed=params["seed"],
-                    mode=params["mode"],
-                )
-            except ReproError as error:
-                self.stats.compute_errors += 1
-                self._finish(key, future, ("invalid", str(error)))
+                outcome = _find_shortcut(instance, params)
             except Exception as error:  # noqa: BLE001
-                self.stats.compute_errors += 1
-                self._finish(
-                    key, future, ("error", f"{type(error).__name__}: {error}")
-                )
+                self._finish(key, future, self._failed(error))
             else:
                 built.append((key, future, instance, outcome))
         if not built:
@@ -636,19 +667,14 @@ class ShortcutService:
                         with_dilation=group.with_dilation,
                     )
                 )
+                _check_guarantee(outcome, report)
                 result = payload_fn(outcome, report)
                 self.stats.computed += 1
                 self.stats.batched += 1
                 self._store_put(key, result)
                 self._finish(key, future, ("ok", result))
-            except ReproError as error:
-                self.stats.compute_errors += 1
-                self._finish(key, future, ("invalid", str(error)))
             except Exception as error:  # noqa: BLE001
-                self.stats.compute_errors += 1
-                self._finish(
-                    key, future, ("error", f"{type(error).__name__}: {error}")
-                )
+                self._finish(key, future, self._failed(error))
 
     def stats_payload(self) -> Dict:
         payload = {"service": self.stats.as_dict()}

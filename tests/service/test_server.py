@@ -5,13 +5,27 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from dataclasses import replace
 
 import pytest
 
-from repro.analysis.instances import InstanceSpec, clear_instance_cache
+from repro.analysis.instances import (
+    InstanceSpec,
+    clear_instance_cache,
+    hydrate,
+    reference_instance,
+)
+from repro.core import quality
+from repro.core.doubling import find_shortcut_doubling
+from repro.errors import ReproError
+from repro.graphs import generators
+from repro.graphs.batch_csr import numpy_available
+from repro.service import server
 from repro.service.server import (
+    BATCHED_PAYLOADS,
     OPERATIONS,
     PARAM_DEFAULTS,
+    VECTOR_LADDER_MIN_N,
     ShortcutService,
     parse_spec,
     serve,
@@ -122,6 +136,21 @@ def test_shortcut_needs_partition(service):
     )
     assert response.status == 422
     assert "partition" in response.body["error"]
+
+
+@pytest.mark.parametrize("cycle", [63, 575])  # n = 64 and n = 576
+def test_partition_missing_nodes_is_unprocessable(service, cycle):
+    # Arcs of the cycle alone leave the hub node unlabelled.
+    raw = {"family": "hub", "params": [cycle, 8], "partition": ["arcs", cycle, 8, 0]}
+    for build in (hydrate, reference_instance):
+        with pytest.raises(ReproError, match="partition labels"):
+            build(parse_spec(raw))
+    for op in ("shortcut", "quality"):
+        response = service.handle(op, {"spec": raw})
+        assert response.status == 422
+        assert response.body["kind"] == "unprocessable"
+        assert "partition labels" in response.body["error"]
+    assert service.stats.compute_errors == 2
 
 
 # ----------------------------------------------------------------------
@@ -254,6 +283,57 @@ def test_deadline_expiry_is_504_then_warm(service, sleepy_op):
 # ----------------------------------------------------------------------
 
 
+def fire_together(service, op, specs, seed):
+    """Send one request per spec from concurrent threads."""
+    responses = [None] * len(specs)
+
+    def fire(index):
+        responses[index] = service.handle(op, {"spec": specs[index], "seed": seed})
+
+    threads = [threading.Thread(target=fire, args=(i,)) for i in range(len(specs))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    return responses
+
+
+# Both sides of VECTOR_LADDER_MIN_N: n = 256 and n = 576.
+SMALL_SIDE, LARGE_SIDE = 16, 24
+
+
+def routed_spec(family, side):
+    """A family-table spec with ``side * side`` nodes."""
+    n = side * side
+    weights = ["unique", side]
+    if family == "hub":
+        return {
+            "family": "hub",
+            "params": [n - 1, 8],
+            "weights": weights,
+            "partition": ["arcs", n - 1, 8, 1],
+        }
+    return {
+        "family": family,
+        "params": [n, 7] if family == "delaunay" else [side, side],
+        "weights": weights,
+        "partition": ["voronoi", side, 3],
+    }
+
+
+def scalar_build(raw, seed):
+    """Outcome and quality report of the scalar direct ladder."""
+    instance = hydrate(parse_spec(raw))
+    outcome = find_shortcut_doubling(
+        instance.topology, instance.tree, instance.partition, seed=seed, mode="direct"
+    )
+    report = quality.measure(
+        outcome.result.shortcut, instance.topology, with_dilation=False
+    )
+    return outcome, report
+
+
 BATCH_SPECS = [
     {
         "family": "grid",
@@ -277,45 +357,36 @@ BATCH_SPECS = [
 
 
 def test_batched_cold_misses_match_the_loop_path(tmp_path):
-    # Per-instance reference answers from an unbatched service.
+    # One member above the vector-ladder crossover.
+    specs = BATCH_SPECS + [routed_spec("grid", LARGE_SIDE)]
+    # Per-instance answers from an unbatched service, which must equal
+    # the scalar ladder's.
     loop = ShortcutService(store=None, workers=2)
     try:
         expected = [
             loop.handle("shortcut", {"spec": spec, "seed": 5}).body["result"]
-            for spec in BATCH_SPECS
+            for spec in specs
         ]
     finally:
         loop.close()
+    payload = BATCHED_PAYLOADS["shortcut"]
+    assert expected == [payload(*scalar_build(spec, 5)) for spec in specs]
 
     service = ShortcutService(
         PersistentStore(tmp_path / "store"),
         workers=2,
         batch_window_s=0.25,
-        batch_limit=len(BATCH_SPECS),
+        batch_limit=len(specs),
     )
-    responses = [None] * len(BATCH_SPECS)
-
-    def fire(index):
-        responses[index] = service.handle(
-            "shortcut", {"spec": BATCH_SPECS[index], "seed": 5}
-        )
-
     try:
-        threads = [
-            threading.Thread(target=fire, args=(i,))
-            for i in range(len(BATCH_SPECS))
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert [r.status for r in responses] == [200] * len(BATCH_SPECS)
+        responses = fire_together(service, "shortcut", specs, 5)
+        assert [r.status for r in responses] == [200] * len(specs)
         assert [r.body["result"] for r in responses] == expected
         assert all(r.body["warm"] is False for r in responses)
         # Every cold miss went through the grouped batch path and the
         # store is populated: the retry lands warm.
-        assert service.stats.batched == len(BATCH_SPECS)
-        assert service.stats.computed == len(BATCH_SPECS)
+        assert service.stats.batched == len(specs)
+        assert service.stats.computed == len(specs)
         warm = service.handle("shortcut", {"spec": BATCH_SPECS[0], "seed": 5})
         assert warm.status == 200 and warm.body["warm"] is True
     finally:
@@ -397,6 +468,106 @@ def test_stats_surface_batched_counter(tmp_path):
         status, stats = http_json(f"{handle.base_url}/v1/stats")
         assert status == 200
         assert stats["service"]["batched"] == 1
+
+
+# ----------------------------------------------------------------------
+# Size routing and the Theorem 3 check
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def vector_runs(monkeypatch):
+    """``(n, outcome)`` of every construction the service sends up the
+    vector ladder."""
+    runs = []
+    real = server.find_shortcut_doubling_batch
+
+    def spy(topologies, *args, **kwargs):
+        outcomes = real(topologies, *args, **kwargs)
+        runs.extend((t.n, outcome) for t, outcome in zip(topologies, outcomes))
+        return outcomes
+
+    monkeypatch.setattr(server, "find_shortcut_doubling_batch", spy)
+    return runs
+
+
+@pytest.mark.parametrize("family", ["grid", "torus", "hub", "delaunay"])
+def test_size_routing_matches_the_scalar_ladder(family, tmp_path, vector_runs):
+    if family == "delaunay" and not generators.geometry_available():
+        pytest.skip("delaunay needs the geometry extra")
+    specs = [routed_spec(family, SMALL_SIDE), routed_spec(family, LARGE_SIDE)]
+    small_n, large_n = (hydrate(parse_spec(spec)).topology.n for spec in specs)
+    assert small_n < VECTOR_LADDER_MIN_N <= large_n
+    built = [scalar_build(spec, 5) for spec in specs]
+    expected = {
+        op: [payload(*pair) for pair in built]
+        for op, payload in BATCHED_PAYLOADS.items()
+    }
+
+    service = ShortcutService(store=None, workers=2)
+    try:
+        for op in BATCHED_PAYLOADS:
+            for spec, payload in zip(specs, expected[op]):
+                response = service.handle(op, {"spec": spec, "seed": 5})
+                assert response.status == 200
+                assert response.body["result"] == payload
+    finally:
+        service.close()
+
+    # Both sizes in one pending window.
+    batched = ShortcutService(
+        PersistentStore(tmp_path / "store"),
+        workers=2,
+        batch_window_s=0.25,
+        batch_limit=len(specs),
+    )
+    try:
+        responses = fire_together(batched, "quality", specs, 5)
+        assert [r.body["result"] for r in responses] == expected["quality"]
+        assert batched.stats.batched == len(specs)
+    finally:
+        batched.close()
+    # Two unbatched ops and one batched op sent the large instance up
+    # the vector ladder, which built the scalar shortcut bit for bit.
+    assert [n for n, _ in vector_runs] == ([large_n] * 3 if numpy_available() else [])
+    reference = built[1][0]
+    for _n, outcome in vector_runs:
+        assert outcome.trials == reference.trials
+        assert outcome.result.good_history == reference.result.good_history
+        assert outcome.result.shortcut.subgraphs == reference.result.shortcut.subgraphs
+        assert outcome.ledger == reference.ledger
+
+
+@pytest.mark.parametrize("batch_window_s", [0.0, 0.05])
+def test_theorem3_violation_is_internal_error(tmp_path, monkeypatch, batch_window_s):
+    real = server.find_shortcut_doubling
+
+    def violating(*args, **kwargs):
+        # Claim b = 0, so any block parameter breaks the 3b bound.
+        outcome = real(*args, **kwargs)
+        return replace(outcome, result=replace(outcome.result, b=0))
+
+    monkeypatch.setattr(server, "find_shortcut_doubling", violating)
+    service = ShortcutService(
+        PersistentStore(tmp_path / "store"),
+        workers=2,
+        batch_window_s=batch_window_s,
+    )
+    try:
+        response = service.handle("shortcut", request_body())
+        assert response.status == 500
+        assert response.body["kind"] == "internal"
+        assert "GuaranteeViolation" in response.body["error"]
+        assert service.stats_payload()["service"]["guarantee_violations"] == 1
+        # Nothing was stored: once the construction is sound again the
+        # retry computes afresh and succeeds.
+        monkeypatch.setattr(server, "find_shortcut_doubling", real)
+        retry = service.handle("shortcut", request_body())
+        assert retry.status == 200
+        assert retry.body["warm"] is False
+        assert service.stats.guarantee_violations == 1
+    finally:
+        service.close()
 
 
 # ----------------------------------------------------------------------

@@ -38,7 +38,6 @@ SPEC = InstanceSpec("grid", (5, 5), partition=("voronoi", 5, 1))
 HOLDER_SCRIPT = """
 import sys, time
 from pathlib import Path
-import repro.analysis.instances  # break the service <-> analysis import cycle
 from repro.service.store import PersistentStore
 
 root, locked, release = Path(sys.argv[1]), Path(sys.argv[2]), Path(sys.argv[3])
