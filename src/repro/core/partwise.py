@@ -23,15 +23,16 @@ locally.
 The engine runs on one of two *backends* (see
 :mod:`repro.core.partwise_fast`): ``backend="simulate"`` (default)
 executes every superstep as a node program on the CONGEST simulator,
-``backend="direct"`` replays the identical deterministic dynamics as
-centralized array passes — bit-for-bit equal results *and* ledger
-charges, at a fraction of the cost.
+``backend="direct"`` folds each block's values centrally and charges
+the ledger from Lemma 2 schedule replays memoized per task set —
+bit-for-bit equal results *and* ledger charges, at a fraction of the
+cost.  Every replay is checked against Lemma 2's ``D + c + 2`` rounds;
+exceeding it raises :class:`~repro.errors.GuaranteeViolation`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.congest.algorithm import NodeAlgorithm
 from repro.congest.engine import EngineLike
@@ -43,10 +44,14 @@ from repro.core.quality_fast import block_components
 from repro.core.shortcut import TreeRestrictedShortcut
 from repro.core.tree_routing import (
     SubtreeTask,
+    TaskKey,
+    _combine,
     broadcast as subtree_broadcast,
     convergecast as subtree_convergecast,
     make_task,
+    task_edge_congestion,
 )
+from repro.errors import GuaranteeViolation
 from repro.graphs.spanning_trees import SpanningTree
 
 Values = Dict[int, Optional[int]]
@@ -131,14 +136,14 @@ class PartwiseEngine:
                 self.blocks.append(block)
                 for v in block.nodes & self.partition.members(index):
                     self.block_of[v] = block
-        self.tasks: Dict[Tuple[int, int], SubtreeTask] = {
+        self.tasks: Dict[TaskKey, SubtreeTask] = {
             (blk.part, blk.root): make_task(self.tree, blk.part, blk.nodes)
             for blk in self.blocks
         }
-        self.max_blocks = max(
-            (sum(1 for b in self.blocks if b.part == i) for i in range(self.partition.size)),
-            default=0,
-        )
+        # Direct-backend Lemma 2 costs, filled on first use.
+        self._congestion = 0
+        self._convergecast: Optional[Tuple[int, int]] = None
+        self._broadcasts: Dict[FrozenSet[TaskKey], Tuple[int, int]] = {}
 
         # Part-internal neighborhood (one round of neighbor discovery,
         # charged up front).  The scan depends only on (topology,
@@ -164,59 +169,97 @@ class PartwiseEngine:
         combined value over its block; ``None`` for nodes outside all
         parts.
         """
-        task_values: Dict[Tuple[int, int], Dict[int, int]] = {}
+        if self.backend == "direct":
+            # min, max and integer sum are associative and commutative,
+            # so a plain fold equals the pipelined result; the Lemma 2
+            # schedule ignores the values, so its cost is memoized.
+            folded: Dict[TaskKey, Optional[int]] = {}
+            for v, block in self.block_of.items():
+                value = values.get(v)
+                if value is not None:
+                    key = (block.part, block.root)
+                    folded[key] = _combine(combine, folded.get(key), value)
+            self._step += 1
+            self.ledger.charge(
+                f"partwise/convergecast#{self._step}", *self._convergecast_cost()
+            )
+            self._step += 1
+            self.ledger.charge(
+                f"partwise/broadcast#{self._step}",
+                *self._broadcast_cost(frozenset(folded)),
+            )
+            return {
+                v: folded.get((block.part, block.root))
+                for v, block in self.block_of.items()
+            }
+        task_values: Dict[TaskKey, Dict[int, int]] = {}
         for v, block in self.block_of.items():
             value = values.get(v)
             if value is not None:
                 task_values.setdefault((block.part, block.root), {})[v] = value
         self._step += 1
-        if self.backend == "direct":
-            from repro.core.partwise_fast import convergecast_direct
-
-            combined, rounds, messages = convergecast_direct(
-                self.tree, self.tasks.values(), task_values, combine
-            )
-            self.ledger.charge(
-                f"partwise/convergecast#{self._step}", rounds, messages
-            )
-        else:
-            combined, _cc_result = subtree_convergecast(
-                self.topology,
-                self.tree,
-                self.tasks.values(),
-                task_values,
-                combine,
-                seed=self.seed + self._step,
-                ledger=self.ledger,
-                phase_name=f"partwise/convergecast#{self._step}",
-                engine=self.sim_engine,
-            )
+        combined, _cc_result = subtree_convergecast(
+            self.topology,
+            self.tree,
+            self.tasks.values(),
+            task_values,
+            combine,
+            seed=self.seed + self._step,
+            ledger=self.ledger,
+            phase_name=f"partwise/convergecast#{self._step}",
+            engine=self.sim_engine,
+        )
         root_values = {key: val for key, val in combined.items() if val is not None}
         self._step += 1
-        if self.backend == "direct":
-            from repro.core.partwise_fast import broadcast_direct
-
-            delivered, rounds, messages = broadcast_direct(
-                self.tree, [self.tasks[key] for key in root_values], root_values
-            )
-            self.ledger.charge(
-                f"partwise/broadcast#{self._step}", rounds, messages
-            )
-        else:
-            delivered, _bc_result = subtree_broadcast(
-                self.topology,
-                self.tree,
-                [self.tasks[key] for key in root_values],
-                root_values,
-                seed=self.seed + self._step,
-                ledger=self.ledger,
-                phase_name=f"partwise/broadcast#{self._step}",
-                engine=self.sim_engine,
-            )
+        delivered, _bc_result = subtree_broadcast(
+            self.topology,
+            self.tree,
+            [self.tasks[key] for key in root_values],
+            root_values,
+            seed=self.seed + self._step,
+            ledger=self.ledger,
+            phase_name=f"partwise/broadcast#{self._step}",
+            engine=self.sim_engine,
+        )
         out: Values = {}
         for v, block in self.block_of.items():
             out[v] = delivered.get((block.part, block.root), {}).get(v)
         return out
+
+    def _convergecast_cost(self) -> Tuple[int, int]:
+        """Replayed cost of the convergecast over every task, memoized:
+        each block step convergecasts all of :attr:`tasks`."""
+        if self._convergecast is None:
+            from repro.core.partwise_fast import convergecast_cost
+
+            self._congestion = task_edge_congestion(self.tree, self.tasks.values())
+            self._convergecast = self._lemma2_checked(
+                "convergecast", convergecast_cost(self.tree, self.tasks.values())
+            )
+        return self._convergecast
+
+    def _broadcast_cost(self, active: FrozenSet[TaskKey]) -> Tuple[int, int]:
+        """Replayed cost of the broadcast over the ``active`` tasks (the
+        blocks holding a value), memoized per task set."""
+        cost = self._broadcasts.get(active)
+        if cost is None:
+            from repro.core.partwise_fast import broadcast_cost
+
+            cost = self._broadcasts[active] = self._lemma2_checked(
+                "broadcast",
+                broadcast_cost(self.tree, [self.tasks[key] for key in active]),
+            )
+        return cost
+
+    def _lemma2_checked(self, phase: str, cost: Tuple[int, int]) -> Tuple[int, int]:
+        """Lemma 2: one pipelined pass takes at most ``D + c + 2`` rounds."""
+        bound = self.tree.height + self._congestion + 2
+        if cost[0] > bound:
+            raise GuaranteeViolation(
+                f"Lemma 2 {phase} took {cost[0]} rounds, above "
+                f"D + c + 2 = {bound}"
+            )
+        return cost
 
     def exchange(self, payloads: Dict[int, Optional[tuple]]) -> Dict[int, List[Tuple[int, tuple]]]:
         """One round of exchange over part-internal edges."""

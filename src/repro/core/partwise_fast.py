@@ -31,11 +31,17 @@ matches the simulated run bit-for-bit, because the primitives replay
 the same deterministic dynamics without the engine machinery:
 
 ``subtree convergecast / broadcast`` (Lemma 2)
-    The pipelined schedule (one send per node per round, root-depth
-    priority) has no closed form, so — exactly like the
-    ``core-fast/flood`` kernel of :mod:`repro.core.construct_fast` —
-    the replay is a centralized per-round event loop over int heaps:
-    identical forwarding order, identical rounds, identical messages.
+    The values are a per-block fold: min, max and integer sum are
+    associative and commutative, so folding a block's contributions
+    equals the pipelined result.  The pipelined schedule (one send per
+    node per round, root-depth priority) has no closed form, so —
+    exactly like the ``core-fast/flood`` kernel of
+    :mod:`repro.core.construct_fast` — its cost is replayed as a
+    centralized per-round event loop over int heaps
+    (:func:`convergecast_cost`, :func:`broadcast_cost`): identical
+    forwarding order, identical rounds, identical messages.  The
+    schedule reads only the task structure, so an engine replays the
+    convergecast once and each distinct broadcast task set once.
 
 ``part exchange`` / ``label exchange``
     One round; messages are the closed form (``Σ deg_P(v)`` over
@@ -242,179 +248,117 @@ def part_neighbors_cached(
 # ----------------------------------------------------------------------
 
 
-def convergecast_direct(
-    tree: SpanningTree,
-    tasks: Iterable[SubtreeTask],
-    values: Mapping[TaskKey, Mapping[int, int]],
-    combine: str = "min",
-) -> Tuple[Dict[TaskKey, Optional[int]], int, int]:
-    """Centralized replay of
+def convergecast_cost(
+    tree: SpanningTree, tasks: Iterable[SubtreeTask]
+) -> Tuple[int, int]:
+    """Exact ``(rounds, messages)`` of
     :class:`~repro.core.tree_routing.SubtreeConvergecastAlgorithm`.
 
-    Returns ``(combined, rounds, messages)`` — the per-task values at
-    the task roots and the exact cost a simulated run reports: per
-    round every participating node forwards the highest-priority
+    Per round every participating node forwards the highest-priority
     (minimum root depth, then task id) completed task to its tree
-    parent and re-wakes while more remain.
+    parent and re-wakes while more remain.  The schedule reads only the
+    task structure, so the aggregated values play no part in it.
     """
     parent = tree_arrays(tree).parent
-    task_list = list(tasks)
-    acc: Dict[Tuple[int, int, int], Optional[int]] = {}
     pending: Dict[Tuple[int, int, int], int] = {}
     root_depth: Dict[TaskKey, int] = {}
-    results: Dict[TaskKey, Optional[int]] = {}
     heaps: Dict[int, List[Tuple[int, int, int]]] = {}
-    next_arrivals: Dict[int, List[Tuple[int, int, Optional[int]]]] = {}
+    next_arrivals: Dict[int, List[TaskKey]] = {}
     next_woken: set = set()
-    messages = 0
 
-    for task in task_list:
+    def pump(v: int) -> None:
+        heap = heaps.get(v)
+        if heap:
+            _depth, tid, root = heapq.heappop(heap)
+            next_arrivals.setdefault(parent[v], []).append((tid, root))
+            if heap:
+                next_woken.add(v)
+
+    for task in tasks:
         tid, root = task.key
         root_depth[task.key] = task.root_depth
-        task_values = values.get(task.key, {})
         counts: Dict[int, int] = {}
         for v in task.nodes:
             if v != root:
                 counts[parent[v]] = counts.get(parent[v], 0) + 1
         for v in task.nodes:
-            acc[(v, tid, root)] = task_values.get(v)
-            n_children = counts.get(v, 0)
-            pending[(v, tid, root)] = n_children
-            if n_children == 0:
-                if v == root:
-                    results[task.key] = acc[(v, tid, root)]
-                else:
-                    heapq.heappush(
-                        heaps.setdefault(v, []), (task.root_depth, tid, root)
-                    )
+            pending[(v, tid, root)] = counts.get(v, 0)
+            if v not in counts and v != root:
+                heapq.heappush(heaps.setdefault(v, []), (task.root_depth, tid, root))
     # Round 0: one pump per node with a ready task.
-    for v, heap in heaps.items():
-        if heap:
-            _depth, tid, root = heapq.heappop(heap)
-            next_arrivals.setdefault(parent[v], []).append(
-                (tid, root, acc[(v, tid, root)])
-            )
-            if heap:
-                next_woken.add(v)
+    for v in list(heaps):
+        pump(v)
 
-    rounds = 0
-    r = 0
+    rounds = messages = 0
     while next_arrivals or next_woken:
-        r += 1
+        rounds += 1
         arrivals, next_arrivals = next_arrivals, {}
         woken, next_woken = next_woken, set()
         for v, incoming in arrivals.items():
             messages += len(incoming)
-            for tid, root, value in incoming:
+            for tid, root in incoming:
                 slot = (v, tid, root)
-                acc[slot] = _combine(combine, acc[slot], value)
                 pending[slot] -= 1
-                if pending[slot] == 0:
-                    if v == root:
-                        results[(tid, root)] = acc[slot]
-                    else:
-                        heapq.heappush(
-                            heaps.setdefault(v, []),
-                            (root_depth[(tid, root)], tid, root),
-                        )
+                if pending[slot] == 0 and v != root:
+                    heapq.heappush(
+                        heaps.setdefault(v, []), (root_depth[(tid, root)], tid, root)
+                    )
         for v in set(arrivals) | woken:
-            heap = heaps.get(v)
-            if heap:
-                _depth, tid, root = heapq.heappop(heap)
-                next_arrivals.setdefault(parent[v], []).append(
-                    (tid, root, acc[(v, tid, root)])
-                )
-                if heap:
-                    next_woken.add(v)
-        rounds = r
-
-    combined = {task.key: results[task.key] for task in task_list}
-    return combined, rounds, messages
+            pump(v)
+    return rounds, messages
 
 
-def broadcast_direct(
-    tree: SpanningTree,
-    tasks: Iterable[SubtreeTask],
-    root_values: Mapping[TaskKey, int],
-) -> Tuple[Dict[TaskKey, Dict[int, int]], int, int]:
-    """Centralized replay of
-    :class:`~repro.core.tree_routing.SubtreeBroadcastAlgorithm`.
-
-    Returns ``(delivered, rounds, messages)``: per round every node
-    forwards, per child edge, the highest-priority pending task value.
+def broadcast_cost(
+    tree: SpanningTree, tasks: Iterable[SubtreeTask]
+) -> Tuple[int, int]:
+    """Exact ``(rounds, messages)`` of
+    :class:`~repro.core.tree_routing.SubtreeBroadcastAlgorithm` with a
+    value injected at every task root: per round every node forwards,
+    per child edge, the highest-priority pending task.
     """
-    task_list = list(tasks)
-    received: Dict[Tuple[int, int, int], int] = {}
     children_of: Dict[Tuple[int, int, int], Tuple[int, ...]] = {}
-    # node -> child -> heap of (root_depth, tid, root, value)
-    queues: Dict[int, Dict[int, List[Tuple[int, int, int, int]]]] = {}
-    next_arrivals: Dict[int, List[Tuple[int, int, int, int]]] = {}
+    # node -> child -> heap of (root_depth, tid, root)
+    queues: Dict[int, Dict[int, List[Tuple[int, int, int]]]] = {}
+    next_arrivals: Dict[int, List[Tuple[int, int, int]]] = {}
     next_woken: set = set()
-    messages = 0
 
-    def enqueue(v: int, tid: int, root: int, depth: int, value: int) -> None:
+    def enqueue(v: int, depth: int, tid: int, root: int) -> None:
         for child in children_of[(v, tid, root)]:
             heapq.heappush(
-                queues.setdefault(v, {}).setdefault(child, []),
-                (depth, tid, root, value),
+                queues.setdefault(v, {}).setdefault(child, []), (depth, tid, root)
             )
 
     def pump(v: int) -> None:
-        node_queues = queues.get(v)
-        if not node_queues:
-            return
         more = False
-        for child, queue in node_queues.items():
+        for child, queue in queues.get(v, {}).items():
             if queue:
-                depth, tid, root, value = heapq.heappop(queue)
-                next_arrivals.setdefault(child, []).append(
-                    (depth, tid, root, value)
-                )
+                next_arrivals.setdefault(child, []).append(heapq.heappop(queue))
                 if queue:
                     more = True
         if more:
             next_woken.add(v)
 
-    depth_of: Dict[TaskKey, int] = {}
-    for task in task_list:
+    for task in tasks:
         tid, root = task.key
-        depth_of[task.key] = task.root_depth
-        children = _task_children(tree, task)
-        for v in task.nodes:
-            children_of[(v, tid, root)] = children[v]
-        value = root_values.get(task.key)
-        if value is not None:
-            received[(root, tid, root)] = value
-            enqueue(root, tid, root, task.root_depth, value)
+        for v, children in _task_children(tree, task).items():
+            children_of[(v, tid, root)] = children
+        enqueue(root, task.root_depth, tid, root)
     for v in list(queues):
         pump(v)
 
-    rounds = 0
-    r = 0
+    # Every task member hears its task exactly once, from its parent.
+    rounds = messages = 0
     while next_arrivals or next_woken:
-        r += 1
+        rounds += 1
         arrivals, next_arrivals = next_arrivals, {}
         woken, next_woken = next_woken, set()
         for v, incoming in arrivals.items():
             messages += len(incoming)
-            for depth, tid, root, value in incoming:
-                slot = (v, tid, root)
-                if slot not in received:
-                    received[slot] = value
-                    enqueue(v, tid, root, depth, value)
+            for depth, tid, root in incoming:
+                enqueue(v, depth, tid, root)
         for v in set(arrivals) | woken:
             pump(v)
-        rounds = r
-
-    delivered = {
-        task.key: {
-            v: received[(v,) + task.key]
-            for v in task.nodes
-            if (v,) + task.key in received
-        }
-        for task in task_list
-    }
-    return delivered, rounds, messages
+    return rounds, messages
 
 
 # ----------------------------------------------------------------------

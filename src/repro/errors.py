@@ -1,7 +1,8 @@
 """Exception hierarchy for the ``repro`` library.
 
 Every error raised by this library derives from :class:`ReproError`, so
-callers can catch a single exception type at the API boundary.
+callers can catch a single exception type at the API boundary — except
+:class:`GuaranteeViolation`, which signals a bug rather than bad input.
 """
 
 from __future__ import annotations
@@ -29,6 +30,14 @@ class BandwidthExceededError(SimulationError):
 
 class RoundLimitExceededError(SimulationError):
     """Raised when a simulation fails to terminate within ``max_rounds``."""
+
+
+class GuaranteeViolation(RuntimeError):
+    """A computation broke a bound the paper proves (a bug, not bad input).
+
+    Deliberately not a :class:`ReproError`: callers that map domain
+    errors to "invalid input" must treat this as an internal failure.
+    """
 
 
 class ShortcutError(ReproError):

@@ -46,8 +46,10 @@ Request lifecycle hardening
   on ``n >= VECTOR_LADDER_MIN_N`` nodes climbs the vectorized doubling
   ladder (:func:`repro.core.batch.find_shortcut_doubling_batch`) as a
   batch of one: the same shortcut bit for bit, several times faster.
-* **Runtime Theorem 3 check** — a shortcut with block parameter
-  above ``3b`` is a ``500`` counted as ``guarantee_violations``.
+* **Runtime guarantee checks** — a shortcut with block parameter
+  above ``3b`` (Theorem 3), or a direct-backend Lemma 2 routing replay
+  slower than ``D + c + 2`` rounds (e.g. inside an MST), is a ``500``
+  counted as ``guarantee_violations``.
 
 Computation is deterministic given the request (seeded constructions,
 direct kernels), which is what makes results content-addressable and
@@ -71,7 +73,7 @@ from repro.apps.mst import minimum_spanning_tree
 from repro.core import quality
 from repro.core.batch import find_shortcut_doubling_batch, measure_batch
 from repro.core.doubling import find_shortcut_doubling
-from repro.errors import ReproError
+from repro.errors import GuaranteeViolation, ReproError
 from repro.graphs.batch_csr import numpy_available
 from repro.service.store import PersistentStore, canonical_json, spec_key
 
@@ -84,10 +86,6 @@ VECTOR_LADDER_MIN_N = 512
 
 class BadRequest(ReproError):
     """Malformed request (unknown family/op, bad JSON, bad params)."""
-
-
-class GuaranteeViolation(RuntimeError):
-    """A constructed shortcut broke a bound the paper proves (a bug)."""
 
 
 # ----------------------------------------------------------------------
@@ -353,9 +351,18 @@ class ServiceStats:
     compute_errors: int = 0
     guarantee_violations: int = 0
     store_failures: int = 0
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
+
+    def bump(self, name: str) -> None:
+        """Add one to counter ``name``; safe across worker threads."""
+        with self._lock:
+            setattr(self, name, getattr(self, name) + 1)
 
     def as_dict(self) -> Dict[str, int]:
-        return dict(self.__dict__)
+        with self._lock:
+            return {k: v for k, v in self.__dict__.items() if k != "_lock"}
 
 
 @dataclass
@@ -456,7 +463,7 @@ class ShortcutService:
         try:
             return self.store.get(key)
         except Exception:
-            self.stats.store_failures += 1
+            self.stats.bump("store_failures")
             return None
 
     def _store_put(self, key: str, payload: object) -> None:
@@ -464,9 +471,9 @@ class ShortcutService:
             return
         try:
             if not self.store.put(key, payload):
-                self.stats.store_failures += 1
+                self.stats.bump("store_failures")
         except Exception:
-            self.stats.store_failures += 1
+            self.stats.bump("store_failures")
 
     # -- the request path ----------------------------------------------
 
@@ -481,18 +488,18 @@ class ShortcutService:
         shortcut), ``503`` (shed, with ``Retry-After``), ``504``
         (deadline expired), or ``500`` (unexpected internal error).
         """
-        self.stats.requests += 1
+        self.stats.bump("requests")
         try:
             spec, params = parse_request(op, body)
         except BadRequest as error:
-            self.stats.bad_requests += 1
+            self.stats.bump("bad_requests")
             return ServiceResponse(400, {"error": str(error), "kind": "bad-request"})
         if deadline_s is None:
             raw = body.get("deadline_s", self.max_deadline_s)
             try:
                 deadline_s = float(raw)
             except (TypeError, ValueError):
-                self.stats.bad_requests += 1
+                self.stats.bump("bad_requests")
                 return ServiceResponse(
                     400, {"error": "deadline_s must be a number", "kind": "bad-request"}
                 )
@@ -501,7 +508,7 @@ class ShortcutService:
         key = spec_key(op, spec, **params)
         cached = self._store_get(key)
         if cached is not None:
-            self.stats.warm_hits += 1
+            self.stats.bump("warm_hits")
             return ServiceResponse(
                 200, {"result": cached, "key": key, "warm": True}
             )
@@ -511,10 +518,10 @@ class ShortcutService:
         with self._lock:
             future = self._inflight.get(key)
             if future is not None:
-                self.stats.singleflight_joined += 1
+                self.stats.bump("singleflight_joined")
             else:
                 if self._pending >= self.queue_limit:
-                    self.stats.shed += 1
+                    self.stats.bump("shed")
                     return ServiceResponse(
                         503,
                         {"error": "work queue full", "kind": "overload"},
@@ -534,7 +541,7 @@ class ShortcutService:
         except FutureTimeout:
             # The computation keeps running and will populate the
             # store; the client's retry lands warm.
-            self.stats.deadline_expired += 1
+            self.stats.bump("deadline_expired")
             return ServiceResponse(
                 504, {"error": "deadline expired", "kind": "deadline", "key": key}
             )
@@ -557,7 +564,7 @@ class ShortcutService:
         try:
             instance = hydrate(spec)
             result = OPERATIONS[op](instance, params)
-            self.stats.computed += 1
+            self.stats.bump("computed")
             self._store_put(key, result)
             return ("ok", result)
         except Exception as error:  # noqa: BLE001 — clean error, never a wrong answer
@@ -570,11 +577,11 @@ class ShortcutService:
     def _failed(self, error: Exception) -> Tuple[str, str]:
         """Count a failed computation: domain errors become ``invalid``
         (422), anything else ``error`` (500)."""
-        self.stats.compute_errors += 1
+        self.stats.bump("compute_errors")
         if isinstance(error, ReproError):
             return ("invalid", str(error))
         if isinstance(error, GuaranteeViolation):
-            self.stats.guarantee_violations += 1
+            self.stats.bump("guarantee_violations")
         return ("error", f"{type(error).__name__}: {error}")
 
     # -- batched cold misses -------------------------------------------
@@ -669,8 +676,8 @@ class ShortcutService:
                 )
                 _check_guarantee(outcome, report)
                 result = payload_fn(outcome, report)
-                self.stats.computed += 1
-                self.stats.batched += 1
+                self.stats.bump("computed")
+                self.stats.bump("batched")
                 self._store_put(key, result)
                 self._finish(key, future, ("ok", result))
             except Exception as error:  # noqa: BLE001

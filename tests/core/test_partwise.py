@@ -141,3 +141,44 @@ def test_empty_shortcut_engine(grid6, grid6_tree, grid6_voronoi):
     leaders, _ = engine.elect_leaders(iterations)
     for i in range(grid6_voronoi.size):
         assert leaders[i] == min(grid6_voronoi.members(i))
+
+
+def test_direct_engine_replays_each_schedule_once(engine_setup, monkeypatch):
+    """Lemma 2's schedule ignores the values, so a direct engine replays
+    the convergecast once and each distinct broadcast task set once."""
+    from repro.core import partwise_fast
+
+    topology, partition, shortcut, _engine, b, _l = engine_setup
+    replays = {"convergecast": [], "broadcast": []}
+    for phase, log in replays.items():
+
+        def spy(tree, tasks, _real=getattr(partwise_fast, f"{phase}_cost"), _log=log):
+            tasks = list(tasks)
+            _log.append(frozenset(task.key for task in tasks))
+            return _real(tree, tasks)
+
+        monkeypatch.setattr(partwise_fast, f"{phase}_cost", spy)
+    engine = PartwiseEngine(topology, shortcut, seed=3, backend="direct")
+    active_sets = []
+    step = engine.block_aggregate
+
+    def observed(values, combine="min"):
+        out = step(values, combine)
+        active_sets.append(
+            frozenset(
+                (engine.block_of[v].part, engine.block_of[v].root)
+                for v, value in out.items()
+                if value is not None
+            )
+        )
+        return out
+
+    engine.block_aggregate = observed
+    # A value injected in part 0 alone keeps the other parts' blocks
+    # idle; the second call has every block active from the start.
+    engine.minimum_per_part({min(partition.members(0)): 7}, b + 3)
+    engine.minimum_per_part({v: v for v in engine.block_of}, b + 3)
+    assert len(active_sets) == 2 * (b + 4)
+    assert replays["convergecast"] == [frozenset(engine.tasks)]
+    assert len(replays["broadcast"]) == len(set(active_sets)) < len(active_sets)
+    assert set(replays["broadcast"]) == set(active_sets)

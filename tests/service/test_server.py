@@ -1,6 +1,7 @@
 """Tests for the service broker and its HTTP transport."""
 
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -568,6 +569,59 @@ def test_theorem3_violation_is_internal_error(tmp_path, monkeypatch, batch_windo
         assert service.stats.guarantee_violations == 1
     finally:
         service.close()
+
+
+def test_lemma2_violation_is_internal_error(tmp_path, monkeypatch):
+    from repro.core import partwise_fast
+
+    real = partwise_fast.convergecast_cost
+
+    def over_reporting(tree, tasks):
+        rounds, messages = real(tree, tasks)
+        return rounds + tree.height + len(tasks) + 3, messages
+
+    monkeypatch.setattr(partwise_fast, "convergecast_cost", over_reporting)
+    store = PersistentStore(tmp_path / "store")
+    service = ShortcutService(store, workers=2)
+    try:
+        response = service.handle("mst", request_body())
+        assert response.status == 500
+        assert response.body["kind"] == "internal"
+        assert "GuaranteeViolation" in response.body["error"]
+        assert "Lemma 2 convergecast" in response.body["error"]
+        assert service.stats_payload()["service"]["guarantee_violations"] == 1
+        assert store.stats.writes == 0
+        monkeypatch.setattr(partwise_fast, "convergecast_cost", real)
+        retry = service.handle("mst", request_body())
+        assert retry.status == 200
+        assert retry.body["warm"] is False
+        assert service.stats.guarantee_violations == 1
+    finally:
+        service.close()
+
+
+def test_stats_counters_do_not_lose_updates_under_threads():
+    stats = server.ServiceStats()
+    threads = [
+        threading.Thread(
+            target=lambda: [stats.bump("computed") for _ in range(50_000)]
+        )
+        for _ in range(8)
+    ]
+    # Switch threads as often as the interpreter allows, so an unlocked
+    # read-modify-write would drop updates.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert stats.as_dict()["computed"] == 8 * 50_000
+    assert "_lock" not in stats.as_dict()
 
 
 # ----------------------------------------------------------------------
