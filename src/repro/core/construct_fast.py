@@ -81,14 +81,18 @@ engines' actual round/message counts:
     ``T``, ``2·depth(T) + 1`` rounds per iteration.
 
 Everything here is plain Python over flat arrays — the same trade the
-batched engine and the quality kernels make.
+batched engine and the quality kernels make.  Between Verification
+runs only ``H_i`` changes, so ``G[P_i]`` is scanned once per label
+array (:func:`part_structure`), and a connected part (every voronoi or
+arcs part, every Borůvka fragment) verifies by counting its distinct
+member blocks.
 """
 
 from __future__ import annotations
 
 import heapq
 from contextlib import contextmanager
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.congest.randomness import seed_chunk_count
 from repro.congest.topology import Edge, Topology
@@ -205,18 +209,56 @@ def verification_cost(
     return rounds, messages
 
 
+class PartStructure(NamedTuple):
+    """``G[P_i]`` facts: per-node component representative, per-part
+    connectivity, and the directed part-internal edge count."""
+
+    labels: Tuple[int, ...]
+    component: List[int]
+    connected: List[bool]
+    internal_edges: int
+
+
+def part_structure(topology: Topology, partition: Partition) -> PartStructure:
+    """The :class:`PartStructure` of ``partition``, cached per topology.
+
+    Only ``H_i`` changes between the Verification runs of one
+    FindShortcut and its doubling rungs.  As in
+    :func:`repro.core.partwise_fast.part_neighbors_cached`, only the
+    latest label array is kept, read once and written as one tuple.
+    """
+    labels = partition.labels
+    entry = topology._kernels.get("part_structure")
+    if entry is not None and entry.labels == labels:
+        return entry
+    csr = adjacency_csr(topology)
+    indptr, indices = csr.indptr, csr.indices
+    component = list(range(topology.n))
+    pieces = [len(members) for members in partition.parts]
+    internal = 0
+    for v, part in enumerate(labels):
+        if part < 0:
+            continue
+        for w in indices[indptr[v] : indptr[v + 1]]:
+            if labels[w] == part:
+                internal += 1
+                ru, rw = _find(component, v), _find(component, w)
+                if ru != rw:
+                    component[ru] = rw
+                    pieces[part] -= 1
+    component = [_find(component, v) for v in range(topology.n)]
+    entry = PartStructure(labels, component, [k == 1 for k in pieces], internal)
+    topology._kernels["part_structure"] = entry
+    return entry
+
+
 def part_internal_edges(topology: Topology, partition: Partition) -> int:
     """Directed edges with both endpoints in the same part.
 
     The per-instance constant feeding the exchange term of
-    :func:`verification_cost`; read off the same-part neighbor scan of
-    :func:`repro.core.partwise_fast.part_neighbors_cached` (one cached
-    scan per (topology, labels) serves both layers).
+    :func:`verification_cost`, read off :func:`part_structure`.
     """
-    from repro.core.partwise_fast import part_neighbors_cached
-
-    neighbors = part_neighbors_cached(topology, partition)
-    return sum(len(same_part) for same_part in neighbors.values())
+    return part_structure(topology, partition).internal_edges
 
 
 # ----------------------------------------------------------------------
@@ -228,22 +270,21 @@ def _upward_sweep(
     tree: SpanningTree,
     own: List[Optional[int]],
     cap: int,
-) -> Tuple[Dict[Edge, Tuple[int, ...]], Set[Edge], List[bool], int, int]:
+) -> Tuple[List[Optional[Set[int]]], Set[Edge], int, int]:
     """One Algorithm 1 sweep: bottom-up id counting with a cap.
 
     ``own[v]`` is the id node ``v`` injects (``None`` to relay only).
-    Returns ``(edge_map, unusable_edges, unusable_by_node, rounds,
-    messages)`` where rounds/messages are the *exact* cost of the
-    simulated streaming program (see the module docstring's recurrence).
+    Returns ``(ids, unusable_edges, rounds, messages)``: ``ids[v]`` is
+    what ``v`` streams over its parent edge (``None`` at the root and
+    when the edge is unusable), and rounds/messages are the *exact*
+    cost of the simulated streaming program (see the module
+    docstring's recurrence).
     """
     arrays = tree_arrays(tree)
     parent = arrays.parent
     n = arrays.n
     visible: List[Optional[Set[int]]] = [None] * n
     done: List[int] = [0] * n
-    seal: List[int] = [0] * n
-    unusable_by_node = [False] * n
-    edge_map: Dict[Edge, Tuple[int, ...]] = {}
     unusable: Set[Edge] = set()
     messages = 0
 
@@ -256,29 +297,40 @@ def _upward_sweep(
             child_visible = visible[child]
             if child_visible:
                 ids |= child_visible
-            visible[child] = None  # free as we go
             arrival = done[child] + 1
             if arrival > s:
                 s = arrival
-        seal[v] = s
         if parent[v] < 0:
             continue
         if len(ids) > cap:
-            unusable_by_node[v] = True
             unusable.add(tree.parent_edge(v))
-            visible[v] = set()
             q = 0
         else:
             q = len(ids)
             visible[v] = ids
-            if ids:
-                edge_map[tree.parent_edge(v)] = tuple(sorted(ids))
         done[v] = s + q
         messages += q + 1  # the streamed ids plus the done marker
 
     root_children = tree.children(tree.root)
     rounds = max((done[c] + 1 for c in root_children), default=0)
-    return edge_map, unusable, unusable_by_node, rounds, messages
+    return visible, unusable, rounds, messages
+
+
+def _shortcut_from_ids(
+    tree: SpanningTree,
+    partition: Partition,
+    ids: Sequence[Optional[Set[int]]],
+) -> TreeRestrictedShortcut:
+    """``H_i`` = the parent edges of the nodes whose ``ids`` hold ``i``."""
+    parent = tree_arrays(tree).parent
+    subgraphs: List[Set[Edge]] = [set() for _ in range(partition.size)]
+    for v, node_ids in enumerate(ids):
+        if node_ids:
+            p = parent[v]
+            edge = (v, p) if v < p else (p, v)
+            for index in node_ids:
+                subgraphs[index].add(edge)
+    return TreeRestrictedShortcut(tree, partition, subgraphs)
 
 
 def core_slow_direct(
@@ -305,10 +357,8 @@ def core_slow_direct(
         part = labels[v]
         if part >= 0 and (participating_set is None or part in participating_set):
             own[v] = part
-    edge_map, unusable, _by_node, rounds, messages = _upward_sweep(
-        tree, own, 2 * c
-    )
-    shortcut = TreeRestrictedShortcut.from_edge_map(tree, partition, edge_map)
+    ids, unusable, rounds, messages = _upward_sweep(tree, own, 2 * c)
+    shortcut = _shortcut_from_ids(tree, partition, ids)
     if ledger is not None:
         ledger.charge_phase("core-slow", rounds, messages)
     return CoreOutcome(
@@ -421,24 +471,12 @@ def core_fast_direct(
             own_active[v] = part
         if part in participating_set:
             own_all[v] = part
-    _map_a, unusable, unusable_by_node, rounds_a, messages_a = _upward_sweep(
-        tree, own_active, tau - 1
-    )
-
-    arrays = tree_arrays(tree)
-    usable = [
-        arrays.parent[v] >= 0 and not unusable_by_node[v] for v in range(n)
-    ]
+    ids_a, unusable, rounds_a, messages_a = _upward_sweep(tree, own_active, tau - 1)
+    usable = [ids is not None for ids in ids_a]
     q_ids, rounds_b, messages_b = _flood_up(tree, own_all, usable)
-
-    edge_map: Dict[Edge, Tuple[int, ...]] = {}
-    for v in range(n):
-        if not usable[v]:
-            continue
-        ids = q_ids[v]
-        if ids:
-            edge_map[tree.parent_edge(v)] = tuple(sorted(ids))
-    shortcut = TreeRestrictedShortcut.from_edge_map(tree, partition, edge_map)
+    shortcut = _shortcut_from_ids(
+        tree, partition, [q if use else None for q, use in zip(q_ids, usable)]
+    )
     if ledger is not None:
         ledger.charge_phase("core-fast/sample", rounds_a, messages_a)
         ledger.charge_phase("core-fast/flood", rounds_b, messages_b)
@@ -462,74 +500,63 @@ def verification_counts_direct(
 ) -> Dict[int, Optional[int]]:
     """Direct twin of :meth:`~repro.core.partwise.PartwiseEngine.count_blocks`.
 
-    Reproduces the simulated protocol's per-part answer exactly: a part
-    whose communication subgraph ``G[P_i] + H_i`` splits into several
-    components gets each component's block count delivered to that
-    component's members only (the supergraph protocol cannot bridge
-    components), and a component with more than ``b_limit`` blocks
-    withholds its verdict — both collapse to the same reduction the
-    simulated engine applies over per-member verdicts.
+    Reproduces the simulated protocol's per-part answer exactly.  Only
+    the blocks (components of ``(V, H_i)``) are rebuilt per call;
+    ``G[P_i]`` comes from the cached :func:`part_structure`.  A
+    connected part's count is its number of distinct member blocks,
+    withheld (``None``) above ``b_limit``.  A part whose communication
+    subgraph ``G[P_i] + H_i`` splits gets each component's block count
+    delivered to that component's members only (the supergraph
+    protocol cannot bridge components), and a component with more than
+    ``b_limit`` blocks withholds its verdict — both collapse to the
+    reduction the simulated engine applies over per-member verdicts.
     """
     partition = shortcut.partition
     if b_limit < 1:
         return {index: None for index in range(partition.size)}
-    csr = adjacency_csr(topology)
-    labels = partition.labels
-    indptr, indices = csr.indptr, csr.indices
+    structure = part_structure(topology, partition)
+    component = structure.component
     block_parent = list(range(partition.n))
     comp_parent = list(range(partition.n))
     per_part: Dict[int, Optional[int]] = {}
 
     for index in range(partition.size):
         members = partition.members(index)
-        touched: List[int] = []
+        subgraph = shortcut.subgraph(index)
         # Block structure: components of (V, H_i).
-        for u, v in shortcut.subgraph(index):
-            touched.append(u)
-            touched.append(v)
+        for u, v in subgraph:
             ru, rv = _find(block_parent, u), _find(block_parent, v)
             if ru != rv:
                 block_parent[ru] = rv
-        # Communication components: part-internal edges + co-blocked
-        # members (a block's members are one supernode).
-        block_rep: Dict[int, int] = {}
-        for v in members:
-            for w in indices[indptr[v] : indptr[v + 1]]:
-                if labels[w] == index and w > v:
-                    ru, rv = _find(comp_parent, v), _find(comp_parent, w)
-                    if ru != rv:
-                        comp_parent[ru] = rv
-            root = _find(block_parent, v)
-            rep = block_rep.get(root)
-            if rep is None:
-                block_rep[root] = v
-            else:
-                ru, rv = _find(comp_parent, rep), _find(comp_parent, v)
+        if structure.connected[index]:
+            roots = {_find(block_parent, v) for v in members} if subgraph else members
+            per_part[index] = len(roots) if len(roots) <= b_limit else None
+        else:
+            # Communication components: G[P_i] components joined by
+            # blocks (a block's members are one supernode).
+            for v in members:
+                ru = _find(comp_parent, component[v])
+                rv = _find(comp_parent, _find(block_parent, v))
                 if ru != rv:
                     comp_parent[ru] = rv
-        # Count distinct blocks per component.
-        comp_blocks: Dict[int, Set[int]] = {}
-        for v in members:
-            comp_blocks.setdefault(_find(comp_parent, v), set()).add(
-                _find(block_parent, v)
-            )
-        verdict: Dict[int, Optional[int]] = {}
-        for v in members:
-            count = len(comp_blocks[_find(comp_parent, v)])
-            verdict[v] = count if count <= b_limit else None
-        # The exact reduction the simulated engine applies.
-        member_verdicts = {verdict.get(v) for v in members}
-        if None in member_verdicts or not member_verdicts:
-            per_part[index] = None
-        else:
-            per_part[index] = member_verdicts.pop()
-        # Reset the shared arrays (writes only happen at touched
-        # entries and at members, as in quality_fast.block_counts).
-        for v in touched:
-            block_parent[v] = v
-        for v in members:
-            block_parent[v] = v
-            comp_parent[v] = v
+            comp_blocks: Dict[int, Set[int]] = {}
+            for v in members:
+                comp_blocks.setdefault(
+                    _find(comp_parent, component[v]), set()
+                ).add(_find(block_parent, v))
+            # The exact reduction the simulated engine applies.
+            member_verdicts = set()
+            for v in members:
+                count = len(comp_blocks[_find(comp_parent, component[v])])
+                member_verdicts.add(count if count <= b_limit else None)
+            per_part[index] = None if None in member_verdicts else member_verdicts.pop()
+            for v in members:
+                comp_parent[v] = v
+            for u, v in subgraph:
+                comp_parent[u], comp_parent[v] = u, v
+        # Reset the block forest (writes only happen at H_i endpoints).
+        for u, v in subgraph:
+            block_parent[u], block_parent[v] = u, v
     return per_part
 
 

@@ -77,15 +77,15 @@ class TreeRestrictedShortcut:
             raise ShortcutError(
                 f"expected {partition.size} subgraphs, got {len(subgraphs)}"
             )
+        tree_edges = tree.edges
         normalised: List[FrozenSet[Edge]] = []
         for index, subgraph in enumerate(subgraphs):
             edges = frozenset(canonical_edge(u, v) for u, v in subgraph)
-            for edge in edges:
-                if edge not in tree.edges:
-                    raise ShortcutError(
-                        f"H_{index} contains non-tree edge {edge}; a "
-                        f"T-restricted shortcut may only use tree edges"
-                    )
+            for edge in edges - tree_edges:
+                raise ShortcutError(
+                    f"H_{index} contains non-tree edge {edge}; a "
+                    f"T-restricted shortcut may only use tree edges"
+                )
             normalised.append(edges)
         self.tree = tree
         self.partition = partition
@@ -102,9 +102,10 @@ class TreeRestrictedShortcut:
         """Internal: build from already-canonical tree-edge frozensets.
 
         The batched kernels emit ``(min, max)`` parent links read
-        straight off the tree arrays, so every subgraph is a frozenset
-        of canonical tree edges by construction; callers take on the
-        invariant that :meth:`__init__` would otherwise re-check.
+        straight off the tree arrays, and :meth:`restricted_to` and
+        :meth:`merged_with` recombine validated subgraphs, so every
+        subgraph is a frozenset of canonical tree edges by construction;
+        callers take on the invariant that :meth:`__init__` re-checks.
         """
         shortcut = cls.__new__(cls)
         shortcut.tree = tree
@@ -184,7 +185,7 @@ class TreeRestrictedShortcut:
             self._subgraphs[i] if i in keep_set else frozenset()
             for i in range(self.size)
         ]
-        return TreeRestrictedShortcut(self.tree, self.partition, subgraphs)
+        return self._from_canonical(self.tree, self.partition, subgraphs)
 
     def merged_with(
         self, other: "TreeRestrictedShortcut"
@@ -201,7 +202,7 @@ class TreeRestrictedShortcut:
         subgraphs = [
             self._subgraphs[i] | other._subgraphs[i] for i in range(self.size)
         ]
-        return TreeRestrictedShortcut(self.tree, self.partition, subgraphs)
+        return self._from_canonical(self.tree, self.partition, subgraphs)
 
     def as_general(self) -> GeneralShortcut:
         """Forget the tree restriction (Definition 2 ⊆ Definition 1)."""

@@ -75,13 +75,20 @@ from repro.core.batch import find_shortcut_doubling_batch, measure_batch
 from repro.core.doubling import find_shortcut_doubling
 from repro.errors import GuaranteeViolation, ReproError
 from repro.graphs.batch_csr import numpy_available
-from repro.service.store import PersistentStore, canonical_json, spec_key
+from repro.service.store import (
+    LockedCounters,
+    PersistentStore,
+    canonical_json,
+    spec_key,
+)
 
 API_VERSION = "v1"
 DEFAULT_DEADLINE_S = 30.0
 DEFAULT_RETRY_AFTER_S = 0.05
-# Measured crossover (batch of one, 2-core Xeon): grid n~484, others n<=256.
-VECTOR_LADDER_MIN_N = 512
+# Measured crossover (batch of one, cold instances, 2-core Xeon): the
+# vector ladder breaks even with the scalar direct ladder at n~1024
+# (0.90-1.10x) and wins on every family from n=1296.
+VECTOR_LADDER_MIN_N = 1200
 
 
 class BadRequest(ReproError):
@@ -337,7 +344,7 @@ def parse_request(op: str, body: Dict) -> Tuple[InstanceSpec, Dict]:
 
 
 @dataclass
-class ServiceStats:
+class ServiceStats(LockedCounters):
     """Request-lifecycle counters; all monotone, read via /v1/stats."""
 
     requests: int = 0
@@ -351,18 +358,6 @@ class ServiceStats:
     compute_errors: int = 0
     guarantee_violations: int = 0
     store_failures: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def bump(self, name: str) -> None:
-        """Add one to counter ``name``; safe across worker threads."""
-        with self._lock:
-            setattr(self, name, getattr(self, name) + 1)
-
-    def as_dict(self) -> Dict[str, int]:
-        with self._lock:
-            return {k: v for k, v in self.__dict__.items() if k != "_lock"}
 
 
 @dataclass

@@ -111,7 +111,25 @@ def spec_key(op: str, spec: InstanceSpec, **params: object) -> str:
 
 
 @dataclass
-class StoreStats:
+class LockedCounters:
+    """Integer counters whose updates and snapshots are thread-safe."""
+
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
+
+    def bump(self, name: str, amount: int = 1) -> None:
+        """Add ``amount`` to counter ``name``; safe across threads."""
+        with self._lock:
+            setattr(self, name, getattr(self, name) + amount)
+
+    def as_dict(self) -> Dict[str, int]:
+        with self._lock:
+            return {k: v for k, v in self.__dict__.items() if k != "_lock"}
+
+
+@dataclass
+class StoreStats(LockedCounters):
     """Observable store behaviour, for tests, /stats, and E20."""
 
     hits_memory: int = 0
@@ -122,9 +140,6 @@ class StoreStats:
     quarantined: int = 0
     io_errors: int = 0
     swept_tmp: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self.__dict__)
 
 
 @dataclass
@@ -236,7 +251,7 @@ class PersistentStore:
                         pass
         except OSError:
             pass
-        self.stats.swept_tmp += swept
+        self.stats.bump("swept_tmp", swept)
         return swept
 
     # ------------------------------------------------------------------
@@ -254,7 +269,7 @@ class PersistentStore:
             entry = self._memory.get(key)
             if entry is not None:
                 self._memory.move_to_end(key)
-                self.stats.hits_memory += 1
+                self.stats.bump("hits_memory")
                 return entry.payload
         path = self.path_for(key)
         try:
@@ -262,20 +277,20 @@ class PersistentStore:
                 self.hooks.before_read(key, path)
             raw = path.read_bytes()
         except FileNotFoundError:
-            self.stats.misses += 1
+            self.stats.bump("misses")
             return None
         except OSError:
-            self.stats.io_errors += 1
-            self.stats.misses += 1
+            self.stats.bump("io_errors")
+            self.stats.bump("misses")
             return None
         if self.hooks.mutate_bytes is not None:
             raw = self.hooks.mutate_bytes(key, raw)
         entry = self._decode(key, raw)
         if entry is None:
             self._quarantine(key, path)
-            self.stats.misses += 1
+            self.stats.bump("misses")
             return None
-        self.stats.hits_disk += 1
+        self.stats.bump("hits_disk")
         self._remember(key, entry)
         return entry.payload
 
@@ -304,14 +319,14 @@ class PersistentStore:
         target = self.root / QUARANTINE_DIR / path.name
         try:
             os.replace(path, target)
-            self.stats.quarantined += 1
+            self.stats.bump("quarantined")
         except OSError:
             # Fall back to deletion; the entry must not stay readable.
             try:
                 path.unlink()
-                self.stats.quarantined += 1
+                self.stats.bump("quarantined")
             except OSError:
-                self.stats.io_errors += 1
+                self.stats.bump("io_errors")
 
     # ------------------------------------------------------------------
     # Write path
@@ -356,13 +371,13 @@ class PersistentStore:
         except KilledWriter:
             raise
         except OSError:
-            self.stats.io_errors += 1
+            self.stats.bump("io_errors")
             try:
                 tmp.unlink()
             except OSError:
                 pass
             return False
-        self.stats.writes += 1
+        self.stats.bump("writes")
         self._remember(key, _Entry(payload=payload, checksum=checksum))
         return True
 
@@ -374,7 +389,7 @@ class PersistentStore:
             self._memory.move_to_end(key)
             while len(self._memory) > self.memory_entries:
                 self._memory.popitem(last=False)
-                self.stats.evictions += 1
+                self.stats.bump("evictions")
 
     def forget_memory(self, key: Optional[str] = None) -> None:
         """Drop the in-memory layer (or one key) — chaos/tests use this

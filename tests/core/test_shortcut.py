@@ -105,3 +105,38 @@ def test_validate_in(grid6, grid6_tree, grid6_voronoi):
 def test_edge_orientation_normalised(line_tree, two_parts):
     s = TreeRestrictedShortcut(line_tree, two_parts, [[(1, 0)], []])
     assert (0, 1) in s.subgraph(0)
+
+
+def test_restricted_and_merged_equal_the_validating_constructor():
+    """The unvalidated fast paths build exactly what ``__init__`` builds
+    from the same subgraphs, on real kernel output."""
+    from repro.core.core_fast import core_fast
+    from repro.core.core_slow import core_slow
+    from repro.graphs import generators, partitions
+
+    topology = generators.grid(6, 6)
+    tree = SpanningTree.bfs(topology, 0)
+    partition = partitions.voronoi(topology, 6, seed=3)
+    slow = core_slow(topology, tree, partition, 1, mode="direct").shortcut
+    fast = core_fast(topology, tree, partition, 2, 7, mode="direct").shortcut
+    keep = {0, 2, 5}
+    restricted = slow.restricted_to(keep)
+    expected = TreeRestrictedShortcut(
+        tree,
+        partition,
+        [slow.subgraph(i) if i in keep else () for i in range(partition.size)],
+    )
+    assert restricted.subgraphs == expected.subgraphs
+    assert restricted.edge_map == expected.edge_map
+    merged = restricted.merged_with(fast)
+    expected = TreeRestrictedShortcut(
+        tree,
+        partition,
+        [
+            list(restricted.subgraph(i)) + list(fast.subgraph(i))
+            for i in range(partition.size)
+        ],
+    )
+    assert merged.subgraphs == expected.subgraphs
+    assert merged.edge_map == expected.edge_map
+    assert merged.tree is tree and merged.partition is partition

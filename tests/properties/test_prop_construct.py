@@ -7,6 +7,8 @@ bounded-genus chains — and must stay bit-for-bit interchangeable with
 simulate mode wherever we spot-check it.
 """
 
+import random
+
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
@@ -15,6 +17,7 @@ from repro.core.construct_fast import verification_counts_direct
 from repro.core.core_slow import core_slow
 from repro.core.existence import best_certified
 from repro.core.find_shortcut import find_shortcut
+from repro.core.shortcut import TreeRestrictedShortcut
 from repro.core.verification import verification
 from repro.graphs import generators, partitions
 from repro.graphs.spanning_trees import SpanningTree
@@ -121,3 +124,50 @@ def test_direct_verification_counts_match_truth(instance, c, b_limit):
     }
     assert verdicts["direct"].counts == verdicts["simulate"].counts
     assert verdicts["direct"].good_parts == verdicts["simulate"].good_parts
+
+
+@st.composite
+def labelled_shortcuts(draw):
+    """A random shortcut over an arbitrary label partition.
+
+    Parts may be disconnected, nodes may be uncovered (label ``-1``),
+    and each ``H_i`` is a random set of tree edges, so the components
+    of one part can hold different numbers of blocks.
+    """
+    if draw(st.booleans()):
+        side = draw(st.integers(3, 5))
+        topology = generators.grid(side, side)
+    else:
+        topology = generators.k_tree(
+            draw(st.integers(8, 20)), 2, draw(st.integers(0, 10))
+        )
+    # Seeded draws cover the mixed cases far better than shrink-biased
+    # per-node draws, which favour one label and near-empty H_i.
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n_labels = draw(st.integers(1, 5))
+    uncovered = draw(st.sampled_from([0.0, 0.25]))
+    labels = [
+        -1 if rng.random() < uncovered else rng.randrange(n_labels)
+        for _ in range(topology.n)
+    ]
+    partition = partitions.Partition.from_labels(labels)
+    tree = SpanningTree.bfs(topology, 0)
+    density = draw(st.sampled_from([0.0, 0.3, 0.6, 0.9]))
+    subgraphs = [
+        [edge for edge in sorted(tree.edges) if rng.random() < density]
+        for _ in range(partition.size)
+    ]
+    return topology, TreeRestrictedShortcut(tree, partition, subgraphs)
+
+
+@settings(max_examples=60)
+@given(labelled_shortcuts(), st.integers(1, 6))
+def test_direct_verification_counts_equal_simulated_on_any_partition(
+    case, b_limit
+):
+    topology, shortcut = case
+    counts = {
+        mode: verification(topology, shortcut, b_limit, mode=mode).counts
+        for mode in ("simulate", "direct")
+    }
+    assert counts["direct"] == counts["simulate"]

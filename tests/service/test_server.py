@@ -300,8 +300,8 @@ def fire_together(service, op, specs, seed):
     return responses
 
 
-# Both sides of VECTOR_LADDER_MIN_N: n = 256 and n = 576.
-SMALL_SIDE, LARGE_SIDE = 16, 24
+# Both sides of VECTOR_LADDER_MIN_N: n = 256 and n = 1296.
+SMALL_SIDE, LARGE_SIDE = 16, 36
 
 
 def routed_spec(family, side):

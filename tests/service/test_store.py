@@ -2,6 +2,8 @@
 
 import json
 import os
+import sys
+import threading
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro.service.store import (
     PersistentStore,
     QUARANTINE_DIR,
     STORE_SCHEMA,
+    StoreStats,
     _Hooks,
     spec_key,
 )
@@ -205,3 +208,29 @@ def test_spec_key_is_content_addressed():
     # Keyword order does not matter; values do.
     assert spec_key("q", SPEC, a=1, b=2) == spec_key("q", SPEC, b=2, a=1)
     assert len(base) == 64 and all(c in "0123456789abcdef" for c in base)
+
+
+def test_store_stats_do_not_lose_updates_under_threads():
+    stats = StoreStats()
+    threads = [
+        threading.Thread(
+            target=lambda: [stats.bump("hits_memory") for _ in range(50_000)]
+        )
+        for _ in range(8)
+    ]
+    # Switch threads as often as the interpreter allows, so an unlocked
+    # read-modify-write would drop updates.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert stats.as_dict()["hits_memory"] == 8 * 50_000
+    assert "_lock" not in stats.as_dict()
+    stats.bump("swept_tmp", 3)
+    assert stats.swept_tmp == 3
