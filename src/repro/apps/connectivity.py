@@ -154,6 +154,7 @@ def connected_components(
                 seed=mix(seed, phase, 3), ledger=ledger,
             )
             b_bound = 3 * outcome.result.b
+            engine.check_block_bound(b_bound)
             minima = engine.minimum_per_part(candidates, b_bound)
         else:
             minima = fragment_aggregate(
@@ -210,6 +211,7 @@ def connected_components(
             topology, outcome.result.shortcut,
             seed=mix(seed, 7778), ledger=ledger,
         )
+        engine.check_block_bound(3 * outcome.result.b)
         minima = engine.minimum_per_part(
             {v: v for v in topology.nodes}, 3 * outcome.result.b
         )

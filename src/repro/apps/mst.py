@@ -253,6 +253,7 @@ def minimum_spanning_tree(
         engine = PartwiseEngine(
             topology, shortcut, seed=mix(seed, phase, 2), ledger=ledger
         )
+        engine.check_block_bound(b_bound)
         min_edges, neighbor_labels = min_outgoing_edges(
             topology, engine, b_bound, labels=labels, seed=mix(seed, phase, 3)
         )

@@ -23,15 +23,18 @@ locally.
 The engine runs on one of two *backends* (see
 :mod:`repro.core.partwise_fast`): ``backend="simulate"`` (default)
 executes every superstep as a node program on the CONGEST simulator,
-``backend="direct"`` folds each block's values centrally and charges
-the ledger from Lemma 2 schedule replays memoized per task set —
-bit-for-bit equal results *and* ledger charges, at a fraction of the
-cost.  Every replay is checked against Lemma 2's ``D + c + 2`` rounds;
-exceeding it raises :class:`~repro.errors.GuaranteeViolation`.
+``backend="direct"`` floods the block supergraph itself — one value
+per block, each exchange taking the min over neighbour blocks — and
+charges the ledger from Lemma 2 per-link replays memoized per task
+set: bit-for-bit equal results *and* ledger charges, at a fraction of
+the cost.  Every replay is checked against Lemma 2's ``D + c + 2``
+rounds, and :meth:`PartwiseEngine.check_block_bound` checks Theorem 3's
+block bound; a violation raises :class:`~repro.errors.GuaranteeViolation`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.congest.algorithm import NodeAlgorithm
@@ -131,8 +134,9 @@ class PartwiseEngine:
         # "distributed representation" (Section 4.1).
         self.blocks: List[BlockComponent] = []
         self.block_of: Dict[int, BlockComponent] = {}  # Pi member -> its block
+        scratch = list(range(self.partition.n))
         for index in range(self.partition.size):
-            for block in block_components(shortcut, index):
+            for block in block_components(shortcut, index, scratch):
                 self.blocks.append(block)
                 for v in block.nodes & self.partition.members(index):
                     self.block_of[v] = block
@@ -140,10 +144,14 @@ class PartwiseEngine:
             (blk.part, blk.root): make_task(self.tree, blk.part, blk.nodes)
             for blk in self.blocks
         }
-        # Direct-backend Lemma 2 costs, filled on first use.
+        # Direct backend: the block supergraph and the Lemma 2 costs,
+        # filled on first use.
+        self._member_block: Optional[Dict[int, int]] = None
+        self._degree: List[int] = []
+        self._around: List[Tuple[int, ...]] = []
         self._congestion = 0
         self._convergecast: Optional[Tuple[int, int]] = None
-        self._broadcasts: Dict[FrozenSet[TaskKey], Tuple[int, int]] = {}
+        self._broadcasts: Dict[FrozenSet[int], Tuple[int, int]] = {}
 
         # Part-internal neighborhood (one round of neighbor discovery,
         # charged up front).  The scan depends only on (topology,
@@ -170,28 +178,9 @@ class PartwiseEngine:
         parts.
         """
         if self.backend == "direct":
-            # min, max and integer sum are associative and commutative,
-            # so a plain fold equals the pipelined result; the Lemma 2
-            # schedule ignores the values, so its cost is memoized.
-            folded: Dict[TaskKey, Optional[int]] = {}
-            for v, block in self.block_of.items():
-                value = values.get(v)
-                if value is not None:
-                    key = (block.part, block.root)
-                    folded[key] = _combine(combine, folded.get(key), value)
-            self._step += 1
-            self.ledger.charge(
-                f"partwise/convergecast#{self._step}", *self._convergecast_cost()
-            )
-            self._step += 1
-            self.ledger.charge(
-                f"partwise/broadcast#{self._step}",
-                *self._broadcast_cost(frozenset(folded)),
-            )
-            return {
-                v: folded.get((block.part, block.root))
-                for v, block in self.block_of.items()
-            }
+            folded = self._fold(values, combine)
+            self._charge_block_step(folded)
+            return {v: folded[b] for v, b in self._member_block.items()}
         task_values: Dict[TaskKey, Dict[int, int]] = {}
         for v, block in self.block_of.items():
             value = values.get(v)
@@ -226,30 +215,65 @@ class PartwiseEngine:
             out[v] = delivered.get((block.part, block.root), {}).get(v)
         return out
 
-    def _convergecast_cost(self) -> Tuple[int, int]:
-        """Replayed cost of the convergecast over every task, memoized:
-        each block step convergecasts all of :attr:`tasks`."""
-        if self._convergecast is None:
-            from repro.core.partwise_fast import convergecast_cost
+    def blocks_per_part(self) -> Counter:
+        """Block components per part, in one pass over :attr:`blocks`."""
+        return Counter(blk.part for blk in self.blocks)
 
+    def check_block_bound(self, b_bound: int) -> None:
+        """Theorem 3: no part has more than ``b_bound`` blocks — also the
+        premise that ``b_bound`` flood iterations span every supergraph."""
+        worst = max(self.blocks_per_part().values(), default=0)
+        if worst > b_bound:
+            raise GuaranteeViolation(
+                f"Theorem 3: a part has {worst} blocks, above {b_bound}"
+            )
+
+    def _fold(self, values: Values, combine: str) -> List[Optional[int]]:
+        """Per-block fold of the members' values (min, max and integer
+        sum are associative and commutative, so it equals the pipelined
+        convergecast).  The first call also builds the supergraph: each
+        member's block index, each block's part-internal degree sum and
+        its neighbour blocks, indexed like :attr:`blocks`."""
+        if self._member_block is None:
+            index = {key: i for i, key in enumerate(self.tasks)}
+            member_block = self._member_block = {
+                v: index[(blk.part, blk.root)] for v, blk in self.block_of.items()
+            }
+            self._degree = [0] * len(self.blocks)
+            around: List[set] = [set() for _ in self.blocks]
+            for v, b in member_block.items():
+                self._degree[b] += len(self.part_neighbors[v])
+                around[b].update(member_block[w] for w in self.part_neighbors[v])
+            self._around = [tuple(nbrs - {b}) for b, nbrs in enumerate(around)]
+        folded: List[Optional[int]] = [None] * len(self.blocks)
+        for v, b in self._member_block.items():
+            value = values.get(v)
+            if value is not None:
+                folded[b] = _combine(combine, folded[b], value)
+        return folded
+
+    def _charge_block_step(self, folded: List[Optional[int]]) -> None:
+        """Charge one block step from the memoized Lemma 2 replays: the
+        convergecast runs every task, the broadcast the blocks holding a
+        value.  The schedules ignore the values themselves."""
+        from repro.core.partwise_fast import broadcast_cost, convergecast_cost
+
+        if self._convergecast is None:
             self._congestion = task_edge_congestion(self.tree, self.tasks.values())
             self._convergecast = self._lemma2_checked(
                 "convergecast", convergecast_cost(self.tree, self.tasks.values())
             )
-        return self._convergecast
-
-    def _broadcast_cost(self, active: FrozenSet[TaskKey]) -> Tuple[int, int]:
-        """Replayed cost of the broadcast over the ``active`` tasks (the
-        blocks holding a value), memoized per task set."""
+        active = frozenset(b for b, value in enumerate(folded) if value is not None)
         cost = self._broadcasts.get(active)
         if cost is None:
-            from repro.core.partwise_fast import broadcast_cost
-
+            tasks = list(self.tasks.values())
             cost = self._broadcasts[active] = self._lemma2_checked(
-                "broadcast",
-                broadcast_cost(self.tree, [self.tasks[key] for key in active]),
+                "broadcast", broadcast_cost(self.tree, [tasks[b] for b in active])
             )
-        return cost
+        self._step += 1
+        self.ledger.charge(f"partwise/convergecast#{self._step}", *self._convergecast)
+        self._step += 1
+        self.ledger.charge(f"partwise/broadcast#{self._step}", *cost)
 
     def _lemma2_checked(self, phase: str, cost: Tuple[int, int]) -> Tuple[int, int]:
         """Lemma 2: one pipelined pass takes at most ``D + c + 2`` rounds."""
@@ -304,6 +328,8 @@ class PartwiseEngine:
         block parameter ``b`` the supergraph has at most ``b``
         supernodes, so ``iterations = b`` always suffices.
         """
+        if self.backend == "direct":
+            return self._flood_blocks(values, iterations)
         current = self.block_aggregate(values, "min")
         for _ in range(iterations):
             received = self.exchange(
@@ -322,6 +348,31 @@ class PartwiseEngine:
                 merged[v] = best
             current = self.block_aggregate(merged, "min")
         return current
+
+    def _flood_blocks(self, values: Values, iterations: int) -> Values:
+        """Direct :meth:`minimum_per_part`: one value per supernode.  An
+        exchange sends every member's value over its part-internal
+        edges, so after the next block step each block holds the min
+        over itself and its neighbour blocks."""
+        current = self._fold(values, "min")
+        self._charge_block_step(current)
+        for _ in range(iterations):
+            self._step += 1
+            self.ledger.charge(
+                f"partwise/exchange#{self._step}",
+                1,
+                sum(d for d, value in zip(self._degree, current) if value is not None),
+            )
+            merged: List[Optional[int]] = []
+            for best, nbrs in zip(current, self._around):
+                for b in nbrs:
+                    incoming = current[b]
+                    if incoming is not None and (best is None or incoming < best):
+                        best = incoming
+                merged.append(best)
+            current = merged
+            self._charge_block_step(current)
+        return {v: current[b] for v, b in self._member_block.items()}
 
     def elect_leaders(self, iterations: int) -> Tuple[Dict[int, int], Values]:
         """Leader election for all parts in parallel (Theorem 2 i).

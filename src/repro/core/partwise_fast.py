@@ -34,18 +34,24 @@ the same deterministic dynamics without the engine machinery:
     The values are a per-block fold: min, max and integer sum are
     associative and commutative, so folding a block's contributions
     equals the pipelined result.  The pipelined schedule (one send per
-    node per round, root-depth priority) has no closed form, so —
-    exactly like the ``core-fast/flood`` kernel of
-    :mod:`repro.core.construct_fast` — its cost is replayed as a
-    centralized per-round event loop over int heaps
-    (:func:`convergecast_cost`, :func:`broadcast_cost`): identical
-    forwarding order, identical rounds, identical messages.  The
-    schedule reads only the task structure, so an engine replays the
-    convergecast once and each distinct broadcast task set once.
+    link per round, root-depth priority) has no closed form, so its
+    cost is replayed (:func:`convergecast_cost`, :func:`broadcast_cost`):
+    every tree link is a unit-capacity queue, and since a task is never
+    delayed by a lower-priority one, the tasks are replayed one at a
+    time in priority order, each in one pass over its subtree (children
+    first for the convergecast, parents first for the broadcast),
+    taking the first free round of each link — identical rounds, and
+    ``Σ(|task| − 1)`` messages.  The schedule reads only the task
+    structure, so an engine replays the convergecast once and each
+    distinct broadcast task set once.
 
 ``part exchange`` / ``label exchange``
     One round; messages are the closed form (``Σ deg_P(v)`` over
-    payload-carrying nodes, resp. ``2m``).
+    payload-carrying nodes, resp. ``2m``).  The Theorem 2 flood never
+    materializes the part exchange: every member of a block holds the
+    block's value, so the engine floods the block supergraph — one
+    value per block, the min over neighbour blocks per exchange — and
+    charges the block's part-internal degree sum.
 
 ``fragment flood / tree aggregate`` (the no-shortcut baselines)
     The flood is replayed round by round (improvement-triggered
@@ -80,12 +86,11 @@ costs at most ``b (2 (D + c + 2) + 1)`` rounds — the
 from __future__ import annotations
 
 import functools
-import heapq
 from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.congest.topology import Topology
-from repro.core.tree_routing import SubtreeTask, TaskKey, _combine, _task_children
+from repro.core.tree_routing import SubtreeTask, _combine
 from repro.errors import ShortcutError
 from repro.graphs.csr import adjacency_csr, tree_arrays
 from repro.graphs.partitions import Partition
@@ -248,64 +253,59 @@ def part_neighbors_cached(
 # ----------------------------------------------------------------------
 
 
+def _replay(
+    tree: SpanningTree, tasks: Iterable[SubtreeTask], upward: bool
+) -> Tuple[int, int]:
+    """Exact ``(rounds, messages)`` of one Lemma 2 pipelined pass.
+
+    Every tree link (named by its child end) is a unit-capacity queue
+    that sends, each round, the released task of smallest
+    :attr:`~repro.core.tree_routing.SubtreeTask.priority`.  A task is
+    therefore never delayed by a lower-priority one: it leaves a link
+    in the first round, from its release on, that no higher-priority
+    task holds.  So the tasks are replayed one at a time in priority
+    order, each in one pass over its subtree — children first for the
+    convergecast (a task is released at a node once its last task
+    child's message arrives, at a task leaf in round 0), parents first
+    for the broadcast (released where it arrives, at the root in round
+    0) — claiming link rounds in ``busy``.  Some link sends in every
+    round up to the last, so rounds never exceed the messages,
+    ``Σ(|task| − 1)``, and ``v * span + round`` never collides.
+    """
+    arrays = tree_arrays(tree)
+    parent, depth = arrays.parent, arrays.depth
+    ordered = sorted(tasks, key=lambda task: task.priority)
+    span = 1 + sum(len(task.nodes) for task in ordered)
+    busy = set()
+    rounds = messages = 0
+    for task in ordered:
+        members = sorted(task.nodes, key=depth.__getitem__, reverse=upward)
+        messages += len(members) - 1
+        ready: Dict[int, int] = {}  # node -> release round of this task
+        for v in members:
+            if v == task.root:
+                continue
+            key = v * span + ready.get(v if upward else parent[v], 0)
+            while key in busy:
+                key += 1
+            busy.add(key)
+            arrival = key - v * span + 1
+            target = parent[v] if upward else v
+            if ready.get(target, 0) < arrival:
+                ready[target] = arrival
+            if arrival > rounds:
+                rounds = arrival
+    return rounds, messages
+
+
 def convergecast_cost(
     tree: SpanningTree, tasks: Iterable[SubtreeTask]
 ) -> Tuple[int, int]:
     """Exact ``(rounds, messages)`` of
-    :class:`~repro.core.tree_routing.SubtreeConvergecastAlgorithm`.
-
-    Per round every participating node forwards the highest-priority
-    (minimum root depth, then task id) completed task to its tree
-    parent and re-wakes while more remain.  The schedule reads only the
-    task structure, so the aggregated values play no part in it.
-    """
-    parent = tree_arrays(tree).parent
-    pending: Dict[Tuple[int, int, int], int] = {}
-    root_depth: Dict[TaskKey, int] = {}
-    heaps: Dict[int, List[Tuple[int, int, int]]] = {}
-    next_arrivals: Dict[int, List[TaskKey]] = {}
-    next_woken: set = set()
-
-    def pump(v: int) -> None:
-        heap = heaps.get(v)
-        if heap:
-            _depth, tid, root = heapq.heappop(heap)
-            next_arrivals.setdefault(parent[v], []).append((tid, root))
-            if heap:
-                next_woken.add(v)
-
-    for task in tasks:
-        tid, root = task.key
-        root_depth[task.key] = task.root_depth
-        counts: Dict[int, int] = {}
-        for v in task.nodes:
-            if v != root:
-                counts[parent[v]] = counts.get(parent[v], 0) + 1
-        for v in task.nodes:
-            pending[(v, tid, root)] = counts.get(v, 0)
-            if v not in counts and v != root:
-                heapq.heappush(heaps.setdefault(v, []), (task.root_depth, tid, root))
-    # Round 0: one pump per node with a ready task.
-    for v in list(heaps):
-        pump(v)
-
-    rounds = messages = 0
-    while next_arrivals or next_woken:
-        rounds += 1
-        arrivals, next_arrivals = next_arrivals, {}
-        woken, next_woken = next_woken, set()
-        for v, incoming in arrivals.items():
-            messages += len(incoming)
-            for tid, root in incoming:
-                slot = (v, tid, root)
-                pending[slot] -= 1
-                if pending[slot] == 0 and v != root:
-                    heapq.heappush(
-                        heaps.setdefault(v, []), (root_depth[(tid, root)], tid, root)
-                    )
-        for v in set(arrivals) | woken:
-            pump(v)
-    return rounds, messages
+    :class:`~repro.core.tree_routing.SubtreeConvergecastAlgorithm`: every
+    node forwards one completed task per round to its tree parent.  The
+    schedule reads only the task structure, never the values."""
+    return _replay(tree, tasks, upward=True)
 
 
 def broadcast_cost(
@@ -313,52 +313,9 @@ def broadcast_cost(
 ) -> Tuple[int, int]:
     """Exact ``(rounds, messages)`` of
     :class:`~repro.core.tree_routing.SubtreeBroadcastAlgorithm` with a
-    value injected at every task root: per round every node forwards,
-    per child edge, the highest-priority pending task.
-    """
-    children_of: Dict[Tuple[int, int, int], Tuple[int, ...]] = {}
-    # node -> child -> heap of (root_depth, tid, root)
-    queues: Dict[int, Dict[int, List[Tuple[int, int, int]]]] = {}
-    next_arrivals: Dict[int, List[Tuple[int, int, int]]] = {}
-    next_woken: set = set()
-
-    def enqueue(v: int, depth: int, tid: int, root: int) -> None:
-        for child in children_of[(v, tid, root)]:
-            heapq.heappush(
-                queues.setdefault(v, {}).setdefault(child, []), (depth, tid, root)
-            )
-
-    def pump(v: int) -> None:
-        more = False
-        for child, queue in queues.get(v, {}).items():
-            if queue:
-                next_arrivals.setdefault(child, []).append(heapq.heappop(queue))
-                if queue:
-                    more = True
-        if more:
-            next_woken.add(v)
-
-    for task in tasks:
-        tid, root = task.key
-        for v, children in _task_children(tree, task).items():
-            children_of[(v, tid, root)] = children
-        enqueue(root, task.root_depth, tid, root)
-    for v in list(queues):
-        pump(v)
-
-    # Every task member hears its task exactly once, from its parent.
-    rounds = messages = 0
-    while next_arrivals or next_woken:
-        rounds += 1
-        arrivals, next_arrivals = next_arrivals, {}
-        woken, next_woken = next_woken, set()
-        for v, incoming in arrivals.items():
-            messages += len(incoming)
-            for depth, tid, root in incoming:
-                enqueue(v, depth, tid, root)
-        for v in set(arrivals) | woken:
-            pump(v)
-    return rounds, messages
+    value injected at every task root: every node forwards, per child
+    link, one task per round."""
+    return _replay(tree, tasks, upward=False)
 
 
 # ----------------------------------------------------------------------

@@ -46,14 +46,21 @@ def _find(parent: List[int], x: int) -> int:
 
 
 def block_components(
-    shortcut: TreeRestrictedShortcut, index: int
+    shortcut: TreeRestrictedShortcut,
+    index: int,
+    parent: Optional[List[int]] = None,
 ) -> List[BlockComponent]:
     """Block components of part ``index`` — fast twin of
-    :func:`repro.core.quality.block_components`."""
+    :func:`repro.core.quality.block_components`.
+
+    ``parent`` is an optional identity scratch array of length ``n``
+    (shared across parts by a caller); it is restored before returning.
+    """
     depth = tree_arrays(shortcut.tree).depth
     members = shortcut.partition.members(index)
     labels = shortcut.partition.labels
-    parent = list(range(shortcut.partition.n))
+    if parent is None:
+        parent = list(range(shortcut.partition.n))
 
     involved = set(members)
     for u, v in shortcut.subgraph(index):
@@ -66,6 +73,8 @@ def block_components(
     groups: Dict[int, List[int]] = {}
     for node in involved:
         groups.setdefault(_find(parent, node), []).append(node)
+    for node in involved:  # every written entry is an involved node
+        parent[node] = node
 
     blocks = []
     for nodes in groups.values():

@@ -6,6 +6,8 @@ import networkx as nx
 import pytest
 
 from repro.apps.connectivity import connected_components
+from repro.core.partwise import PartwiseEngine
+from repro.errors import GuaranteeViolation
 from repro.graphs import generators
 
 
@@ -59,3 +61,17 @@ def test_variants_agree(torus5):
     with_shortcut = connected_components(torus5, alive, use_shortcuts=True, seed=6)
     without = connected_components(torus5, alive, use_shortcuts=False, seed=6)
     assert with_shortcut.labels == without.labels
+
+
+def test_block_overcount_violates_theorem3(grid6, monkeypatch):
+    """Each shortcut phase checks its blocks per part against ``3b``."""
+    real = PartwiseEngine.blocks_per_part
+
+    def over_counting(engine):
+        counts = real(engine)
+        counts[0] += 10**9
+        return counts
+
+    monkeypatch.setattr(PartwiseEngine, "blocks_per_part", over_counting)
+    with pytest.raises(GuaranteeViolation, match="Theorem 3"):
+        connected_components(grid6, grid6.edges, seed=2)

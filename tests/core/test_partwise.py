@@ -7,6 +7,7 @@ from repro.core import quality
 from repro.core.core_slow import core_slow
 from repro.core.existence import best_certified
 from repro.core.partwise import PartwiseEngine
+from repro.errors import GuaranteeViolation
 
 
 @pytest.fixture
@@ -114,6 +115,14 @@ def test_ledger_records_costs(engine_setup):
     assert ledger.total_rounds > before
 
 
+def test_check_block_bound(engine_setup):
+    _t, partition, shortcut, engine, b, _l = engine_setup
+    assert engine.blocks_per_part() == dict(enumerate(quality.block_counts(shortcut)))
+    engine.check_block_bound(b)
+    with pytest.raises(GuaranteeViolation, match="Theorem 3"):
+        engine.check_block_bound(b - 1)
+
+
 def test_part_neighbor_scan_is_hoisted_across_engines(engine_setup):
     """The label-dependent neighbor scan is computed once per
     (topology, partition) and shared by every engine over it — while
@@ -145,10 +154,17 @@ def test_empty_shortcut_engine(grid6, grid6_tree, grid6_voronoi):
 
 def test_direct_engine_replays_each_schedule_once(engine_setup, monkeypatch):
     """Lemma 2's schedule ignores the values, so a direct engine replays
-    the convergecast once and each distinct broadcast task set once."""
+    the convergecast once and each distinct broadcast task set once.
+
+    The direct flood works on blocks and never calls
+    ``block_aggregate``: its block steps are read off the ledger's
+    ``partwise/broadcast#k`` records and its replayed task sets off the
+    ``broadcast_cost`` spy.  The per-step active sets come from a
+    simulated engine, whose ``block_aggregate`` runs every step."""
     from repro.core import partwise_fast
 
     topology, partition, shortcut, _engine, b, _l = engine_setup
+    real_broadcast = partwise_fast.broadcast_cost
     replays = {"convergecast": [], "broadcast": []}
     for phase, log in replays.items():
 
@@ -158,27 +174,42 @@ def test_direct_engine_replays_each_schedule_once(engine_setup, monkeypatch):
             return _real(tree, tasks)
 
         monkeypatch.setattr(partwise_fast, f"{phase}_cost", spy)
-    engine = PartwiseEngine(topology, shortcut, seed=3, backend="direct")
+    ledgers = {"simulate": RoundLedger(), "direct": RoundLedger()}
+    engines = {
+        backend: PartwiseEngine(
+            topology, shortcut, seed=3, ledger=ledger, backend=backend
+        )
+        for backend, ledger in ledgers.items()
+    }
+    simulated = engines["simulate"]
     active_sets = []
-    step = engine.block_aggregate
+    step = simulated.block_aggregate
 
     def observed(values, combine="min"):
         out = step(values, combine)
         active_sets.append(
             frozenset(
-                (engine.block_of[v].part, engine.block_of[v].root)
+                (simulated.block_of[v].part, simulated.block_of[v].root)
                 for v, value in out.items()
                 if value is not None
             )
         )
         return out
 
-    engine.block_aggregate = observed
+    simulated.block_aggregate = observed
     # A value injected in part 0 alone keeps the other parts' blocks
     # idle; the second call has every block active from the start.
-    engine.minimum_per_part({min(partition.members(0)): 7}, b + 3)
-    engine.minimum_per_part({v: v for v in engine.block_of}, b + 3)
-    assert len(active_sets) == 2 * (b + 4)
-    assert replays["convergecast"] == [frozenset(engine.tasks)]
+    for engine in engines.values():
+        engine.minimum_per_part({min(partition.members(0)): 7}, b + 3)
+        engine.minimum_per_part({v: v for v in engine.block_of}, b + 3)
+    assert replays["convergecast"] == [frozenset(engines["direct"].tasks)]
+    steps = [
+        r for r in ledgers["direct"].records if r.name.startswith("partwise/broadcast#")
+    ]
+    assert len(steps) == len(active_sets) == 2 * (b + 4)
     assert len(replays["broadcast"]) == len(set(active_sets)) < len(active_sets)
     assert set(replays["broadcast"]) == set(active_sets)
+    tasks = engines["direct"].tasks
+    for record, active in zip(steps, active_sets):
+        cost = real_broadcast(shortcut.tree, [tasks[k] for k in active])
+        assert (record.rounds, record.messages) == cost

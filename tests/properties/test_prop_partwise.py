@@ -3,19 +3,24 @@
 The engine's distributed outputs are compared against centralized
 oracles on randomly generated shortcuts — including degenerate ones
 (empty subgraphs, partial coverage) that unit tests don't reach.  Every
-oracle property runs on both backends; a differential property holds
-the direct backend's memoized block steps to the simulated ones.
+oracle property runs on both backends; differential properties hold
+the direct backend's memoized block steps, its block-supergraph flood
+and its per-link Lemma 2 replays to the simulated ones.
 """
+
+import random
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
-from repro.core import quality
+from repro.congest.topology import Topology
+from repro.core import partwise_fast, quality
 from repro.core.existence import greedy_capped_shortcut
 from repro.congest.trace import RoundLedger
 from repro.core.partwise import PartwiseEngine
 from repro.core.partwise_fast import BACKENDS
 from repro.core.quality_fast import block_components
+from repro.core.tree_routing import broadcast, convergecast, make_task
 from repro.graphs import generators, partitions
 from repro.graphs.spanning_trees import SpanningTree
 
@@ -141,3 +146,148 @@ def test_direct_block_steps_equal_simulated(instance):
         records = [(r.name, r.rounds, r.messages) for r in ledger.records]
         runs.append((outputs, records))
     assert runs[0] == runs[1]
+
+
+@st.composite
+def flood_cases(draw):
+    """A shortcut, an iteration count from 0 to one past the block
+    parameter (so unconverged floods are covered) and member values:
+    all ``None``, one injector per part, or a random subset."""
+    topology, partition, shortcut = draw(engine_instances())
+    bound = max(1, quality.block_parameter(shortcut))
+    iterations = draw(st.integers(0, bound + 1))
+    members = sorted(v for i in range(partition.size) for v in partition.members(i))
+    shape = draw(st.sampled_from(["none", "injectors", "random"]))
+    if shape == "none":
+        values = {v: None for v in members}
+    elif shape == "injectors":
+        values = {
+            draw(st.sampled_from(sorted(partition.members(i)))): draw(
+                st.integers(-50, 50)
+            )
+            for i in range(partition.size)
+        }
+    else:
+        values = {v: draw(st.integers(-50, 50)) for v in members if draw(st.booleans())}
+    return topology, shortcut, iterations, values
+
+
+@given(flood_cases())
+def test_direct_flood_equals_simulated(case):
+    topology, shortcut, iterations, values = case
+    leader_values = {v: value for v, value in values.items() if value is not None}
+    runs = []
+    for backend in BACKENDS:
+        ledger = RoundLedger()
+        engine = PartwiseEngine(
+            topology, shortcut, seed=6, ledger=ledger, backend=backend
+        )
+        leaders, knowledge = engine.elect_leaders(iterations)
+        outputs = [
+            list(engine.minimum_per_part(values, iterations).items()),
+            leaders,
+            list(knowledge.items()),
+            list(engine.broadcast_from_leaders(leader_values, iterations).items()),
+        ]
+        records = [(r.name, r.rounds, r.messages) for r in ledger.records]
+        runs.append((outputs, records))
+    assert runs[0] == runs[1]
+
+
+ROUTING_FAMILIES = ["grid", "torus"] + (
+    ["delaunay"] if generators.geometry_available() else []
+)
+
+
+def random_subtree(tree, root, size, rng):
+    """A connected subtree of ``tree`` rooted at ``root``, grown to at
+    most ``size`` nodes by adding random tree children."""
+    nodes = {root}
+    frontier = list(tree.children(root))
+    while frontier and len(nodes) < size:
+        v = frontier.pop(rng.randrange(len(frontier)))
+        nodes.add(v)
+        frontier.extend(tree.children(v))
+    return nodes
+
+
+@st.composite
+def subtree_families(draw):
+    """1-24 random connected subtrees of a BFS tree with distinct
+    ``(tid, root)`` keys.  The first task is the whole tree; the second
+    is rooted at one of its relays (a member with a task child, other
+    than the root), the third is a singleton, and the rest mix these
+    kinds with random-size subtrees, so overlaps are the rule."""
+    family = draw(st.sampled_from(ROUTING_FAMILIES))
+    side = draw(st.integers(3, 7))
+    if family == "delaunay":
+        topology = generators.delaunay(side * side, seed=draw(st.integers(0, 99)))
+    else:
+        topology = getattr(generators, family)(side, side)
+    tree = SpanningTree.bfs(topology, draw(st.integers(0, topology.n - 1)))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    tasks = {}
+    kinds = ["large", "relay", "singleton", "random"]
+    for index in range(draw(st.integers(1, 24))):
+        kind = kinds[index] if index < 3 else rng.choice(kinds)
+        root = tree.root if index == 0 else rng.randrange(topology.n)
+        if kind == "relay":
+            host = next(iter(tasks.values()))
+            relays = [
+                v
+                for v in host.nodes
+                if v != host.root and any(c in host.nodes for c in tree.children(v))
+            ]
+            root = rng.choice(relays) if relays else root
+        size = {"large": topology.n, "singleton": 1}.get(
+            kind, rng.randint(1, topology.n)
+        )
+        task = make_task(tree, rng.randrange(4), random_subtree(tree, root, size, rng))
+        tasks.setdefault(task.key, task)
+    return topology, tree, list(tasks.values())
+
+
+@given(subtree_families())
+def test_lemma2_replays_equal_simulated_routing(instance):
+    topology, tree, tasks = instance
+    _values, cc_run = convergecast(topology, tree, tasks, {}, "min")
+    _delivered, bc_run = broadcast(topology, tree, tasks, {t.key: 1 for t in tasks})
+    assert partwise_fast.convergecast_cost(tree, tasks) == (
+        cc_run.rounds,
+        cc_run.messages,
+    )
+    assert partwise_fast.broadcast_cost(tree, tasks) == (bc_run.rounds, bc_run.messages)
+
+
+def test_lemma2_replays_queue_on_contended_links():
+    """A path 0-1-2-3 rooted at 0 with six chains of lengths 0-2 hanging
+    off node 3, and six tasks: task ``k`` runs from root ``k % 3`` down
+    the path and chain ``k``.  The link between 2 and 3 carries all six
+    tasks in both directions, released in different rounds (upward by
+    chain length, downward by root distance), so tasks queue behind
+    higher-priority ones: both passes take longer than the tallest
+    task's height, the uncontended time."""
+    lengths = [0, 1, 1, 2, 0, 2]
+    edges = [(0, 1), (1, 2), (2, 3)]
+    chains = []
+    next_id = 4
+    for length in lengths:
+        chain = list(range(next_id, next_id + length))
+        next_id += length
+        edges += list(zip([3] + chain, chain))
+        chains.append(chain)
+    topology = Topology(next_id, edges)
+    tree = SpanningTree.bfs(topology, 0)
+    tasks = [
+        make_task(tree, k, set(range(k % 3, 4)) | set(chain))
+        for k, chain in enumerate(chains)
+    ]
+    tallest = max(max(tree.depth(v) for v in t.nodes) - t.root_depth for t in tasks)
+    _values, cc_run = convergecast(topology, tree, tasks, {}, "min")
+    _delivered, bc_run = broadcast(topology, tree, tasks, {t.key: 1 for t in tasks})
+    assert partwise_fast.convergecast_cost(tree, tasks) == (
+        cc_run.rounds,
+        cc_run.messages,
+    )
+    assert partwise_fast.broadcast_cost(tree, tasks) == (bc_run.rounds, bc_run.messages)
+    assert cc_run.rounds > tallest and bc_run.rounds > tallest

@@ -600,6 +600,38 @@ def test_lemma2_violation_is_internal_error(tmp_path, monkeypatch):
         service.close()
 
 
+def test_theorem3_block_overcount_in_mst_is_internal_error(tmp_path, monkeypatch):
+    """Every MST phase checks its engine's blocks per part against the
+    ``3b`` bound before flooding for ``3b`` iterations."""
+    from repro.core.partwise import PartwiseEngine
+
+    real = PartwiseEngine.blocks_per_part
+
+    def over_counting(engine):
+        counts = real(engine)
+        counts[0] += 10**9
+        return counts
+
+    monkeypatch.setattr(PartwiseEngine, "blocks_per_part", over_counting)
+    store = PersistentStore(tmp_path / "store")
+    service = ShortcutService(store, workers=2)
+    try:
+        response = service.handle("mst", request_body())
+        assert response.status == 500
+        assert response.body["kind"] == "internal"
+        assert "GuaranteeViolation" in response.body["error"]
+        assert "Theorem 3" in response.body["error"]
+        assert service.stats_payload()["service"]["guarantee_violations"] == 1
+        assert store.stats.writes == 0
+        monkeypatch.setattr(PartwiseEngine, "blocks_per_part", real)
+        retry = service.handle("mst", request_body())
+        assert retry.status == 200
+        assert retry.body["warm"] is False
+        assert service.stats.guarantee_violations == 1
+    finally:
+        service.close()
+
+
 def test_stats_counters_do_not_lose_updates_under_threads():
     stats = server.ServiceStats()
     threads = [
