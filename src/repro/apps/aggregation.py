@@ -111,6 +111,19 @@ def aggregate_sum(
     return out
 
 
+def ranked_neighbors(topology: Topology) -> List[List[int]]:
+    """Each node's neighbour ids sorted by ``(weight, id)``, cached per
+    weight map: weighted twins share one kernel cache, not weights."""
+    entry = topology._kernels.get("ranked_neighbors")
+    if entry is None or entry[0] is not topology._weights:
+        ranked = [
+            sorted(topology.neighbors(v), key=lambda w, v=v: (topology.weight(v, w), w))
+            for v in topology.nodes
+        ]
+        entry = topology._kernels["ranked_neighbors"] = (topology._weights, ranked)
+    return entry[1]
+
+
 def min_outgoing_edges(
     topology: Topology,
     engine: PartwiseEngine,
@@ -141,22 +154,27 @@ def min_outgoing_edges(
         topology, labels, seed=seed, ledger=engine.ledger,
         backend=engine.backend,
     )
+    # For a fixed v, (weight, id) order is the order of the encoded
+    # candidates: the first neighbour heard in another part wins.
+    ranked, weight, n = ranked_neighbors(topology), topology.weight, topology.n
     candidates: Dict[int, Optional[int]] = {}
     for v in topology.nodes:
         own = labels.get(v)
         if own is None:
             continue
+        heard = neighbor_labels[v]
         best: Optional[int] = None
-        for w in topology.neighbors(v):
-            if neighbor_labels[v].get(w) == own:
-                continue
-            code = encode_edge_candidate(topology.weight(v, w), v, w, topology.n)
-            if best is None or code < best:
-                best = code
+        for w in ranked[v]:
+            if heard.get(w) != own:
+                best = encode_edge_candidate(weight(v, w), v, w, n)
+                break
         candidates[v] = best
     flooded = engine.minimum_per_part(candidates, b_bound)
+    decoded: Dict[Optional[int], Optional[Tuple[int, int, int]]] = {None: None}
     out: Dict[int, Optional[Tuple[int, int, int]]] = {}
     for v in engine.block_of:
         code = flooded.get(v)
-        out[v] = None if code is None else decode_edge_candidate(code, topology.n)
+        if code not in decoded:  # one decode per part
+            decoded[code] = decode_edge_candidate(code, n)
+        out[v] = decoded[code]
     return out, neighbor_labels

@@ -43,6 +43,7 @@ from repro.core.partwise_fast import (
     bfs_and_shared_randomness,
     get_default_backend,
 )
+from repro.core.quality_fast import shortcut_congestion
 from repro.errors import ReproError
 from repro.graphs.partitions import Partition
 from repro.graphs.spanning_trees import SpanningTree
@@ -119,43 +120,29 @@ def _build_shortcut(
     :mod:`repro.core.construct_fast`); ``None`` uses the process
     default.
     """
+    kwargs = dict(
+        use_fast=use_fast, seed=seed, shared_seed=shared_seed, ledger=ledger,
+        mode=construct_mode,
+    )
+    if params == "doubling":
+        outcome = find_shortcut_doubling(topology, tree, partition, **kwargs)
+        return outcome.result.shortcut, 3 * outcome.result.b
     if params == "genus":
         if genus is None:
             raise ReproError("params='genus' requires the genus argument")
-        c_g, b_g = genus_bound(genus, tree.height)
-        result = find_shortcut(
-            topology, tree, partition, c_g, b_g,
-            use_fast=use_fast, seed=seed, shared_seed=shared_seed, ledger=ledger,
-            mode=construct_mode,
-        )
-        return result.shortcut, 3 * result.b
-    if params == "given":
+        c, b = genus_bound(genus, tree.height)
+    elif params == "given":
         if c is None or b is None:
             raise ReproError("params='given' requires both c and b")
-        result = find_shortcut(
-            topology, tree, partition, c, b,
-            use_fast=use_fast, seed=seed, shared_seed=shared_seed, ledger=ledger,
-            mode=construct_mode,
-        )
-        return result.shortcut, 3 * result.b
-    if params == "certified":
+    elif params == "certified":
         point = best_certified(tree, partition)
-        result = find_shortcut(
-            topology, tree, partition, point.congestion, point.block,
-            use_fast=use_fast, seed=seed, shared_seed=shared_seed, ledger=ledger,
-            mode=construct_mode,
+        c, b = point.congestion, point.block
+    else:
+        raise ReproError(
+            f"unknown shortcut params {params!r}; available: {PARAM_MODES}"
         )
-        return result.shortcut, 3 * result.b
-    if params == "doubling":
-        outcome = find_shortcut_doubling(
-            topology, tree, partition,
-            use_fast=use_fast, seed=seed, shared_seed=shared_seed, ledger=ledger,
-            mode=construct_mode,
-        )
-        return outcome.result.shortcut, 3 * outcome.result.b
-    raise ReproError(
-        f"unknown shortcut params {params!r}; available: {PARAM_MODES}"
-    )
+    result = find_shortcut(topology, tree, partition, c, b, **kwargs)
+    return result.shortcut, 3 * result.b
 
 
 @engine_parameter
@@ -228,7 +215,7 @@ def minimum_spanning_tree(
     ledger = RoundLedger()
     tree, shared_seed = bfs_and_shared_randomness(topology, seed, ledger, backend)
 
-    labels: Dict[int, int] = {v: v for v in topology.nodes}
+    labels: List[int] = list(topology.nodes)
     mst_edges: set = set()
     phase_records: List[PhaseRecord] = []
     phase = 0
@@ -238,7 +225,9 @@ def minimum_spanning_tree(
             raise ReproError(
                 f"Borůvka did not converge within {max_phases} phases"
             )
-        partition = Partition.from_labels([labels[v] for v in topology.nodes])
+        ranked = sorted(set(labels))
+        rank = {label: index for index, label in enumerate(ranked)}
+        partition = Partition.from_dense_labels([rank[x] for x in labels], len(ranked))
         if partition.size <= 1:
             phase -= 1
             break
@@ -255,12 +244,17 @@ def minimum_spanning_tree(
         )
         engine.check_block_bound(b_bound)
         min_edges, neighbor_labels = min_outgoing_edges(
-            topology, engine, b_bound, labels=labels, seed=mix(seed, phase, 3)
+            topology, engine, b_bound, labels=dict(enumerate(labels)),
+            seed=mix(seed, phase, 3),
         )
 
         # Merge decisions are purely local at the minimum edge's inner
         # endpoint u: u knows its own label, the neighbor's label, and
         # both fragments' shared coins.
+        head = {
+            label: coin(shared_seed, label, HEAD_COIN_SALT, phase) < 0.5
+            for label in ranked
+        }
         injections: Dict[int, int] = {}
         merges = 0
         done = True
@@ -271,13 +265,8 @@ def minimum_spanning_tree(
                 continue
             done = False
             _weight, u, v = edge
-            own_label = labels[u]
             other_label = neighbor_labels[u].get(v)
-            own_head = coin(shared_seed, own_label, HEAD_COIN_SALT, phase) < 0.5
-            other_head = (
-                coin(shared_seed, other_label, HEAD_COIN_SALT, phase) < 0.5
-            )
-            if not own_head and other_head:
+            if not head[labels[u]] and head[other_label]:
                 injections[u] = other_label
                 mst_edges.add(canonical_edge(u, v))
                 merges += 1
@@ -287,8 +276,7 @@ def minimum_spanning_tree(
             # (Theorem 2 iii), then the global "any fragment still
             # active?" check: one convergecast on T.
             adopted = engine.broadcast_from_leaders(injections, b_bound)
-            for v in topology.nodes:
-                new_label = adopted.get(v)
+            for v, new_label in adopted.items():
                 if new_label is not None:
                     labels[v] = new_label
             ledger.charge_phase("mst/termination-check", 2 * tree.height + 1)
@@ -296,9 +284,7 @@ def minimum_spanning_tree(
             PhaseRecord(
                 phase=phase,
                 fragments=partition.size,
-                shortcut_c=max(
-                    (len(p) for p in shortcut.edge_map.values()), default=0
-                ),
+                shortcut_c=shortcut_congestion(shortcut),
                 shortcut_b=b_bound,
                 merges=merges,
                 construct_rounds=construct_end - phase_start,

@@ -33,6 +33,7 @@ class RoundLedger:
 
     barrier_depth: int = 0
     records: List[PhaseRecord] = field(default_factory=list)
+    _total: tuple = field(default=(None, 0, 0), init=False, compare=False, repr=False)
 
     def charge(self, name: str, rounds: int, messages: int = 0) -> None:
         """Record a phase with an explicit round count (no barrier)."""
@@ -57,8 +58,15 @@ class RoundLedger:
 
     @property
     def total_rounds(self) -> int:
-        """Sum of phase rounds including barrier charges."""
-        return sum(r.rounds + r.barrier_rounds for r in self.records)
+        """Sum of phase rounds including barrier charges.  ``_total``
+        holds ``(records, count, sum over records[:count])``: records are
+        append-only, so a read adds only the records new since the last."""
+        records, count, total = self._total
+        if records is not self.records or count > len(records):
+            records, count, total = self.records, 0, 0
+        total += sum(r.rounds + r.barrier_rounds for r in records[count:])
+        self._total = (records, len(records), total)
+        return total
 
     @property
     def simulated_rounds(self) -> int:

@@ -98,7 +98,7 @@ from repro.congest.randomness import seed_chunk_count
 from repro.congest.topology import Edge, Topology
 from repro.congest.trace import RoundLedger
 from repro.core.core_slow import CoreOutcome
-from repro.core.quality_fast import _find
+from repro.core.quality_fast import _find, block_tops
 from repro.core.shortcut import TreeRestrictedShortcut
 from repro.errors import ShortcutError
 from repro.graphs.csr import adjacency_csr, tree_arrays
@@ -489,7 +489,7 @@ def core_fast_direct(
 
 
 # ----------------------------------------------------------------------
-# Verification (Lemma 3) — union-find block/component counting
+# Verification (Lemma 3) — block-top walks and component counting
 # ----------------------------------------------------------------------
 
 
@@ -501,8 +501,9 @@ def verification_counts_direct(
     """Direct twin of :meth:`~repro.core.partwise.PartwiseEngine.count_blocks`.
 
     Reproduces the simulated protocol's per-part answer exactly.  Only
-    the blocks (components of ``(V, H_i)``) are rebuilt per call;
-    ``G[P_i]`` comes from the cached :func:`part_structure`.  A
+    the blocks (components of ``(V, H_i)``) are derived per call, each
+    named by its top in one :func:`~repro.core.quality_fast.block_tops`
+    walk; ``G[P_i]`` comes from the cached :func:`part_structure`.  A
     connected part's count is its number of distinct member blocks,
     withheld (``None``) above ``b_limit``.  A part whose communication
     subgraph ``G[P_i] + H_i`` splits gets each component's block count
@@ -516,47 +517,35 @@ def verification_counts_direct(
         return {index: None for index in range(partition.size)}
     structure = part_structure(topology, partition)
     component = structure.component
-    block_parent = list(range(partition.n))
     comp_parent = list(range(partition.n))
     per_part: Dict[int, Optional[int]] = {}
 
     for index in range(partition.size):
         members = partition.members(index)
-        subgraph = shortcut.subgraph(index)
-        # Block structure: components of (V, H_i).
-        for u, v in subgraph:
-            ru, rv = _find(block_parent, u), _find(block_parent, v)
-            if ru != rv:
-                block_parent[ru] = rv
+        top = block_tops(shortcut.tree, shortcut.subgraph(index))
         if structure.connected[index]:
-            roots = {_find(block_parent, v) for v in members} if subgraph else members
+            roots = {top.get(v, v) for v in members} if top else members
             per_part[index] = len(roots) if len(roots) <= b_limit else None
-        else:
-            # Communication components: G[P_i] components joined by
-            # blocks (a block's members are one supernode).
-            for v in members:
-                ru = _find(comp_parent, component[v])
-                rv = _find(comp_parent, _find(block_parent, v))
-                if ru != rv:
-                    comp_parent[ru] = rv
-            comp_blocks: Dict[int, Set[int]] = {}
-            for v in members:
-                comp_blocks.setdefault(
-                    _find(comp_parent, component[v]), set()
-                ).add(_find(block_parent, v))
-            # The exact reduction the simulated engine applies.
-            member_verdicts = set()
-            for v in members:
-                count = len(comp_blocks[_find(comp_parent, component[v])])
-                member_verdicts.add(count if count <= b_limit else None)
-            per_part[index] = None if None in member_verdicts else member_verdicts.pop()
-            for v in members:
-                comp_parent[v] = v
-            for u, v in subgraph:
-                comp_parent[u], comp_parent[v] = u, v
-        # Reset the block forest (writes only happen at H_i endpoints).
-        for u, v in subgraph:
-            block_parent[u], block_parent[v] = u, v
+            continue
+        # Communication components: G[P_i] components joined by blocks
+        # (a block's members are one supernode).
+        for v in members:
+            ru = _find(comp_parent, component[v])
+            rv = _find(comp_parent, top.get(v, v))
+            if ru != rv:
+                comp_parent[ru] = rv
+        comp_blocks: Dict[int, Set[int]] = {}
+        for v in members:
+            key = _find(comp_parent, component[v])
+            comp_blocks.setdefault(key, set()).add(top.get(v, v))
+        # The exact reduction the simulated engine applies.
+        member_verdicts = set()
+        for v in members:
+            count = len(comp_blocks[_find(comp_parent, component[v])])
+            member_verdicts.add(count if count <= b_limit else None)
+        per_part[index] = None if None in member_verdicts else member_verdicts.pop()
+        for v in (*members, *top.values()):  # every entry written
+            comp_parent[v] = v
     return per_part
 
 

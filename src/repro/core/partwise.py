@@ -20,20 +20,23 @@ information flow stays faithful to the CONGEST model: a node only ever
 uses values it received through simulated messages or could derive
 locally.
 
-The engine runs on one of two *backends* (see
-:mod:`repro.core.partwise_fast`): ``backend="simulate"`` (default)
-executes every superstep as a node program on the CONGEST simulator,
-``backend="direct"`` floods the block supergraph itself — one value
-per block, each exchange taking the min over neighbour blocks — and
-charges the ledger from Lemma 2 per-link replays memoized per task
-set: bit-for-bit equal results *and* ledger charges, at a fraction of
-the cost.  Every replay is checked against Lemma 2's ``D + c + 2``
+Both backends share one set-up: a parents-first walk of each ``H_i``
+(:func:`~repro.core.quality_fast.member_blocks`) names every block by
+its top and gives the tasks and Lemma 2's ``c``.  ``backend="simulate"``
+(default, see :mod:`repro.core.partwise_fast`) executes every superstep
+as a node program on the CONGEST simulator; ``backend="direct"`` floods
+the block supergraph, read off the CSR slices — one value per block,
+each exchange taking the min over neighbour blocks — and charges the
+ledger from Lemma 2 replays that walk the engine's priority-ordered
+tasks, memoized per task set: bit-for-bit equal results *and* ledger
+charges.  Every replay is checked against Lemma 2's ``D + c + 2``
 rounds, and :meth:`PartwiseEngine.check_block_bound` checks Theorem 3's
 block bound; a violation raises :class:`~repro.errors.GuaranteeViolation`.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -43,7 +46,7 @@ from repro.congest.simulator import Simulator
 from repro.congest.topology import Topology
 from repro.congest.trace import RoundLedger
 from repro.core.quality import BlockComponent
-from repro.core.quality_fast import block_components
+from repro.core.quality_fast import member_blocks
 from repro.core.shortcut import TreeRestrictedShortcut
 from repro.core.tree_routing import (
     SubtreeTask,
@@ -52,9 +55,9 @@ from repro.core.tree_routing import (
     broadcast as subtree_broadcast,
     convergecast as subtree_convergecast,
     make_task,
-    task_edge_congestion,
 )
 from repro.errors import GuaranteeViolation
+from repro.graphs.csr import adjacency_csr
 from repro.graphs.spanning_trees import SpanningTree
 
 Values = Dict[int, Optional[int]]
@@ -131,39 +134,63 @@ class PartwiseEngine:
         # Block structure.  Distributively this is local knowledge: a
         # node knows which parts use its parent edge (the construction
         # outputs) plus the block-root depth from the paper's
-        # "distributed representation" (Section 4.1).
+        # "distributed representation" (Section 4.1).  One walk per
+        # H_i gives the blocks, their members and, per tree link, the
+        # tasks crossing it (Lemma 2's c).
         self.blocks: List[BlockComponent] = []
         self.block_of: Dict[int, BlockComponent] = {}  # Pi member -> its block
-        scratch = list(range(self.partition.n))
+        self.tasks: Dict[TaskKey, SubtreeTask] = {}
+        self._member_block: Dict[int, int] = {}  # Pi member -> block index
+        schedule = []  # (priority, block index, task, nodes parents first)
+        load = [0] * self.partition.n
         for index in range(self.partition.size):
-            for block in block_components(shortcut, index, scratch):
-                self.blocks.append(block)
-                for v in block.nodes & self.partition.members(index):
+            for root, members, nodes in member_blocks(
+                self.tree, self.partition.members(index), shortcut.subgraph(index)
+            ):
+                task = self.tasks[(index, root)] = make_task(self.tree, index, nodes)
+                block = BlockComponent(index, root, task.root_depth, task.nodes)
+                for v in members:
                     self.block_of[v] = block
-        self.tasks: Dict[TaskKey, SubtreeTask] = {
-            (blk.part, blk.root): make_task(self.tree, blk.part, blk.nodes)
-            for blk in self.blocks
-        }
-        # Direct backend: the block supergraph and the Lemma 2 costs,
-        # filled on first use.
-        self._member_block: Optional[Dict[int, int]] = None
-        self._degree: List[int] = []
-        self._around: List[Tuple[int, ...]] = []
-        self._congestion = 0
+                    self._member_block[v] = len(self.blocks)
+                for v in nodes[1:]:  # the root sends on no link of the task
+                    load[v] += 1
+                schedule.append((task.priority, len(self.blocks), task, nodes))
+                self.blocks.append(block)
+        self._congestion = max(load, default=0)
+        # Direct backend: the tasks in (unique) Lemma 2 priority order;
+        # the replay costs are filled on first use.
+        self._schedule = sorted(schedule)
         self._convergecast: Optional[Tuple[int, int]] = None
         self._broadcasts: Dict[FrozenSet[int], Tuple[int, int]] = {}
 
-        # Part-internal neighborhood (one round of neighbor discovery,
-        # charged up front).  The scan depends only on (topology,
-        # labels), so it is computed once per fragment partition and
-        # shared by every engine over it — the round itself is still
-        # charged per engine, as each would pay it distributively.
+        # One round of part-internal neighbor discovery, charged up
+        # front (each engine pays it distributively; the scan is lazy).
+        self.ledger.charge("partwise/neighbor-discovery", 1, 2 * topology.m)
+
+    @functools.cached_property
+    def part_neighbors(self) -> Dict[int, Tuple[int, ...]]:
+        """Per-node same-part neighbours (the direct flood reads none)."""
         from repro.core.partwise_fast import part_neighbors_cached
 
-        self.part_neighbors: Dict[int, Tuple[int, ...]] = part_neighbors_cached(
-            topology, self.partition
-        )
-        self.ledger.charge("partwise/neighbor-discovery", 1, 2 * topology.m)
+        return part_neighbors_cached(self.topology, self.partition)
+
+    @functools.cached_property
+    def _supergraph(self) -> Tuple[List[int], List[Tuple[int, ...]]]:
+        """Each block's part-internal degree sum and neighbour blocks,
+        indexed like :attr:`blocks`, read off the CSR slices."""
+        csr = adjacency_csr(self.topology)
+        indptr, indices = csr.indptr, csr.indices
+        labels = self.partition.labels
+        member_block = self._member_block
+        degree = [0] * len(self.blocks)
+        around: List[set] = [set() for _ in self.blocks]
+        for v, b in member_block.items():
+            part = labels[v]
+            for w in indices[indptr[v] : indptr[v + 1]]:
+                if labels[w] == part:
+                    degree[b] += 1
+                    around[b].add(member_block[w])
+        return degree, [tuple(nbrs - {b}) for b, nbrs in enumerate(around)]
 
     # ------------------------------------------------------------------
     # Primitives
@@ -231,20 +258,7 @@ class PartwiseEngine:
     def _fold(self, values: Values, combine: str) -> List[Optional[int]]:
         """Per-block fold of the members' values (min, max and integer
         sum are associative and commutative, so it equals the pipelined
-        convergecast).  The first call also builds the supergraph: each
-        member's block index, each block's part-internal degree sum and
-        its neighbour blocks, indexed like :attr:`blocks`."""
-        if self._member_block is None:
-            index = {key: i for i, key in enumerate(self.tasks)}
-            member_block = self._member_block = {
-                v: index[(blk.part, blk.root)] for v, blk in self.block_of.items()
-            }
-            self._degree = [0] * len(self.blocks)
-            around: List[set] = [set() for _ in self.blocks]
-            for v, b in member_block.items():
-                self._degree[b] += len(self.part_neighbors[v])
-                around[b].update(member_block[w] for w in self.part_neighbors[v])
-            self._around = [tuple(nbrs - {b}) for b, nbrs in enumerate(around)]
+        convergecast)."""
         folded: List[Optional[int]] = [None] * len(self.blocks)
         for v, b in self._member_block.items():
             value = values.get(v)
@@ -256,19 +270,19 @@ class PartwiseEngine:
         """Charge one block step from the memoized Lemma 2 replays: the
         convergecast runs every task, the broadcast the blocks holding a
         value.  The schedules ignore the values themselves."""
-        from repro.core.partwise_fast import broadcast_cost, convergecast_cost
+        from repro.core.partwise_fast import replay_schedule
 
         if self._convergecast is None:
-            self._congestion = task_edge_congestion(self.tree, self.tasks.values())
+            everything = [entry[2:] for entry in self._schedule]
             self._convergecast = self._lemma2_checked(
-                "convergecast", convergecast_cost(self.tree, self.tasks.values())
+                "convergecast", replay_schedule(self.tree, everything, upward=True)
             )
         active = frozenset(b for b, value in enumerate(folded) if value is not None)
         cost = self._broadcasts.get(active)
         if cost is None:
-            tasks = list(self.tasks.values())
+            live = [(t, nodes) for _p, b, t, nodes in self._schedule if b in active]
             cost = self._broadcasts[active] = self._lemma2_checked(
-                "broadcast", broadcast_cost(self.tree, [tasks[b] for b in active])
+                "broadcast", replay_schedule(self.tree, live, upward=False)
             )
         self._step += 1
         self.ledger.charge(f"partwise/convergecast#{self._step}", *self._convergecast)
@@ -356,15 +370,16 @@ class PartwiseEngine:
         over itself and its neighbour blocks."""
         current = self._fold(values, "min")
         self._charge_block_step(current)
+        degree, around = self._supergraph
         for _ in range(iterations):
             self._step += 1
             self.ledger.charge(
                 f"partwise/exchange#{self._step}",
                 1,
-                sum(d for d, value in zip(self._degree, current) if value is not None),
+                sum(d for d, value in zip(degree, current) if value is not None),
             )
             merged: List[Optional[int]] = []
-            for best, nbrs in zip(current, self._around):
+            for best, nbrs in zip(current, around):
                 for b in nbrs:
                     incoming = current[b]
                     if incoming is not None and (best is None or incoming < best):

@@ -42,8 +42,9 @@ the same deterministic dynamics without the engine machinery:
     first for the convergecast, parents first for the broadcast),
     taking the first free round of each link — identical rounds, and
     ``Σ(|task| − 1)`` messages.  The schedule reads only the task
-    structure, so an engine replays the convergecast once and each
-    distinct broadcast task set once.
+    structure, so an engine orders its tasks once (members parents
+    first) and walks that order for the convergecast once (reversed)
+    and for each distinct broadcast task set once (filtered).
 
 ``part exchange`` / ``label exchange``
     One round; messages are the closed form (``Σ deg_P(v)`` over
@@ -87,7 +88,7 @@ from __future__ import annotations
 
 import functools
 from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.congest.topology import Topology
 from repro.core.tree_routing import SubtreeTask, _combine
@@ -253,10 +254,14 @@ def part_neighbors_cached(
 # ----------------------------------------------------------------------
 
 
-def _replay(
-    tree: SpanningTree, tasks: Iterable[SubtreeTask], upward: bool
+def replay_schedule(
+    tree: SpanningTree,
+    schedule: Sequence[Tuple[SubtreeTask, Sequence[int]]],
+    upward: bool,
 ) -> Tuple[int, int]:
-    """Exact ``(rounds, messages)`` of one Lemma 2 pipelined pass.
+    """Exact ``(rounds, messages)`` of one Lemma 2 pipelined pass over
+    ``schedule``: the tasks in priority order, each with its members
+    parents first (:func:`task_schedule`).
 
     Every tree link (named by its child end) is a unit-capacity queue
     that sends, each round, the released task of smallest
@@ -268,34 +273,50 @@ def _replay(
     convergecast (a task is released at a node once its last task
     child's message arrives, at a task leaf in round 0), parents first
     for the broadcast (released where it arrives, at the root in round
-    0) — claiming link rounds in ``busy``.  Some link sends in every
-    round up to the last, so rounds never exceed the messages,
-    ``Σ(|task| − 1)``, and ``v * span + round`` never collides.
+    0) — claiming link rounds in ``busy``.  A convergecast's last
+    arrival is at its task root.  Some link sends in every round up to
+    the last, so rounds never exceed the messages, ``Σ(|task| − 1)``,
+    and ``v * span + round`` never collides.
     """
-    arrays = tree_arrays(tree)
-    parent, depth = arrays.parent, arrays.depth
-    ordered = sorted(tasks, key=lambda task: task.priority)
-    span = 1 + sum(len(task.nodes) for task in ordered)
+    parent = tree_arrays(tree).parent
+    span = 1 + sum(len(members) for _task, members in schedule)
     busy = set()
     rounds = messages = 0
-    for task in ordered:
-        members = sorted(task.nodes, key=depth.__getitem__, reverse=upward)
+    for task, members in schedule:
         messages += len(members) - 1
-        ready: Dict[int, int] = {}  # node -> release round of this task
-        for v in members:
-            if v == task.root:
-                continue
-            key = v * span + ready.get(v if upward else parent[v], 0)
+        if upward:
+            ready: Dict[int, int] = {}  # node -> release round of this task
+            for v in members[:0:-1]:
+                base = v * span
+                key = base + ready.get(v, 0)
+                while key in busy:
+                    key += 1
+                busy.add(key)
+                arrival = key - base + 1
+                if ready.get(parent[v], 0) < arrival:
+                    ready[parent[v]] = arrival
+            rounds = max(rounds, ready.get(task.root, 0))
+            continue
+        ready = {task.root: 0}
+        for v in members[1:]:
+            base = v * span
+            key = base + ready[parent[v]]
             while key in busy:
                 key += 1
             busy.add(key)
-            arrival = key - v * span + 1
-            target = parent[v] if upward else v
-            if ready.get(target, 0) < arrival:
-                ready[target] = arrival
+            ready[v] = arrival = key - base + 1
             if arrival > rounds:
                 rounds = arrival
     return rounds, messages
+
+
+def task_schedule(tree: SpanningTree, tasks: Iterable[SubtreeTask]) -> List:
+    """``tasks`` in priority order, each with its members by depth."""
+    depth = tree_arrays(tree).depth
+    return [
+        (task, sorted(task.nodes, key=depth.__getitem__))
+        for task in sorted(tasks, key=lambda task: task.priority)
+    ]
 
 
 def convergecast_cost(
@@ -305,7 +326,7 @@ def convergecast_cost(
     :class:`~repro.core.tree_routing.SubtreeConvergecastAlgorithm`: every
     node forwards one completed task per round to its tree parent.  The
     schedule reads only the task structure, never the values."""
-    return _replay(tree, tasks, upward=True)
+    return replay_schedule(tree, task_schedule(tree, tasks), upward=True)
 
 
 def broadcast_cost(
@@ -315,7 +336,7 @@ def broadcast_cost(
     :class:`~repro.core.tree_routing.SubtreeBroadcastAlgorithm` with a
     value injected at every task root: every node forwards, per child
     link, one task per round."""
-    return _replay(tree, tasks, upward=False)
+    return replay_schedule(tree, task_schedule(tree, tasks), upward=False)
 
 
 # ----------------------------------------------------------------------

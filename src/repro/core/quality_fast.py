@@ -6,9 +6,10 @@ reference (dict-of-set walks, transparently faithful to Definitions 1
 and 3), while the functions here compute the *same* quantities on the
 flat-array structures of :mod:`repro.graphs.csr`:
 
-* **block components / counts** — an int-array union-find with path
-  halving over a reusable ``parent`` array (reset via a touched list,
-  not reallocated per part);
+* **block components / counts** — one parents-first walk of each
+  ``H_i`` (:func:`block_tops`): every component of ``(V, H_i)`` is a
+  subtree of ``T``, so a node's block is named by its top, no
+  union-find needed;
 * **congestion** — counting arrays indexed by dense edge id instead of
   a per-edge ``set`` of parts;
 * **dilation** — frontier-list BFS over a local adjacency of each
@@ -28,13 +29,14 @@ routed through ``quality.measure(..., kernel=...)``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Collection, Dict, Iterable, List, Optional, Tuple
 
-from repro.congest.topology import Topology
+from repro.congest.topology import Edge, Topology
 from repro.core.quality import BlockComponent, QualityReport
 from repro.core.shortcut import TreeRestrictedShortcut
 from repro.errors import ShortcutError
 from repro.graphs.csr import adjacency_csr, bounded_diameter, edge_ids, tree_arrays
+from repro.graphs.spanning_trees import SpanningTree
 
 
 def _find(parent: List[int], x: int) -> int:
@@ -45,81 +47,68 @@ def _find(parent: List[int], x: int) -> int:
     return x
 
 
+def block_tops(tree: SpanningTree, subgraph: Collection[Edge]) -> Dict[int, int]:
+    """Block root of every node below an ``H_i`` edge, in one walk.
+
+    ``H_i ⊆ E_T``, so each component of ``(V, H_i)`` is a subtree of
+    ``T`` named by its top node (Section 4.1).  Each edge is mapped to
+    its child end; walking the child ends parents first (by
+    ``tour_in``) hands each one its parent's top.  A node missing from
+    the map is its own block root.
+    """
+    if not subgraph:
+        return {}
+    arrays = tree_arrays(tree)
+    parent = arrays.parent
+    children = [v if parent[v] == u else u for u, v in subgraph]
+    children.sort(key=arrays.tour_in.__getitem__)
+    top: Dict[int, int] = {}
+    for v in children:
+        above = parent[v]
+        top[v] = top.get(above, above)
+    return top
+
+
+def member_blocks(
+    tree: SpanningTree, members: Iterable[int], subgraph: Collection[Edge]
+) -> List[Tuple[int, List[int], List[int]]]:
+    """The blocks of ``H_i`` that meet ``members``, sorted by
+    ``(root depth, root)``: each as ``(root, its members, its nodes)``,
+    the nodes root first and parents first, from one
+    :func:`block_tops` walk."""
+    depth = tree_arrays(tree).depth
+    top = block_tops(tree, subgraph)
+    own: Dict[int, List[int]] = {}
+    for v in members:
+        own.setdefault(top.get(v, v), []).append(v)
+    nodes = {root: [root] for root in own}
+    for v, root in top.items():
+        if root in nodes:
+            nodes[root].append(v)
+    return [(r, own[r], nodes[r]) for r in sorted(own, key=lambda r: (depth[r], r))]
+
+
 def block_components(
-    shortcut: TreeRestrictedShortcut,
-    index: int,
-    parent: Optional[List[int]] = None,
+    shortcut: TreeRestrictedShortcut, index: int
 ) -> List[BlockComponent]:
     """Block components of part ``index`` — fast twin of
-    :func:`repro.core.quality.block_components`.
-
-    ``parent`` is an optional identity scratch array of length ``n``
-    (shared across parts by a caller); it is restored before returning.
-    """
+    :func:`repro.core.quality.block_components`, via
+    :func:`member_blocks`."""
     depth = tree_arrays(shortcut.tree).depth
-    members = shortcut.partition.members(index)
-    labels = shortcut.partition.labels
-    if parent is None:
-        parent = list(range(shortcut.partition.n))
-
-    involved = set(members)
-    for u, v in shortcut.subgraph(index):
-        involved.add(u)
-        involved.add(v)
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru != rv:
-            parent[ru] = rv
-
-    groups: Dict[int, List[int]] = {}
-    for node in involved:
-        groups.setdefault(_find(parent, node), []).append(node)
-    for node in involved:  # every written entry is an involved node
-        parent[node] = node
-
-    blocks = []
-    for nodes in groups.values():
-        if not any(labels[v] == index for v in nodes):
-            continue  # not a *block* component: it misses P_i entirely
-        root = min(nodes, key=lambda v: (depth[v], v))
-        blocks.append(
-            BlockComponent(
-                part=index,
-                root=root,
-                root_depth=depth[root],
-                nodes=frozenset(nodes),
-            )
-        )
-    blocks.sort(key=lambda blk: (blk.root_depth, blk.root))
-    return blocks
+    members, subgraph = shortcut.partition.members(index), shortcut.subgraph(index)
+    return [
+        BlockComponent(index, root, depth[root], frozenset(nodes))
+        for root, _own, nodes in member_blocks(shortcut.tree, members, subgraph)
+    ]
 
 
 def block_counts(shortcut: TreeRestrictedShortcut) -> List[int]:
-    """Number of block components of each part (array union-find).
-
-    One ``parent`` array serves every part: only entries touched by a
-    part's edges are reset before the next part, so the total cost is
-    O(n + Σ|H_i| α) instead of a dict rebuild per part.
-    """
-    partition = shortcut.partition
-    parent = list(range(partition.n))
+    """Number of block components of each part: the distinct
+    :func:`block_tops` of its members."""
     counts: List[int] = []
-    for index in range(partition.size):
-        touched: List[int] = []
-        for u, v in shortcut.subgraph(index):
-            touched.append(u)
-            touched.append(v)
-            ru, rv = _find(parent, u), _find(parent, v)
-            if ru != rv:
-                parent[ru] = rv
-        roots = set()
-        for v in partition.members(index):
-            roots.add(_find(parent, v))
-        counts.append(len(roots))
-        # Every written entry is an edge endpoint (unions write at
-        # roots reached from endpoints; halving writes along those
-        # paths), so resetting the endpoints restores the identity.
-        for v in touched:
-            parent[v] = v
+    for index, subgraph in enumerate(shortcut.subgraphs):
+        top = block_tops(shortcut.tree, subgraph)
+        counts.append(len({top.get(v, v) for v in shortcut.partition.members(index)}))
     return counts
 
 

@@ -30,6 +30,7 @@ from repro.congest.simulator import RunResult, Simulator
 from repro.congest.topology import Topology
 from repro.congest.trace import RoundLedger
 from repro.errors import ShortcutError
+from repro.graphs.csr import tree_arrays
 from repro.graphs.spanning_trees import SpanningTree
 
 TaskKey = Tuple[int, int]  # (tid, root)
@@ -66,16 +67,16 @@ def make_task(tree: SpanningTree, tid: int, nodes: Iterable[int]) -> SubtreeTask
     node_set = frozenset(nodes)
     if not node_set:
         raise ShortcutError("a subtree task needs at least one node")
-    root = min(node_set, key=lambda v: (tree.depth(v), v))
+    arrays = tree_arrays(tree)
+    parent, depth = arrays.parent, arrays.depth
+    root = min(node_set, key=lambda v: (depth[v], v))
     for v in node_set:
-        if v != root and tree.parent(v) not in node_set:
+        if v != root and parent[v] not in node_set:
             raise ShortcutError(
                 f"task {tid}: nodes do not form a connected subtree "
                 f"(node {v}'s parent is missing)"
             )
-    return SubtreeTask(
-        tid=tid, root=root, root_depth=tree.depth(root), nodes=node_set
-    )
+    return SubtreeTask(tid=tid, root=root, root_depth=depth[root], nodes=node_set)
 
 
 def task_edge_congestion(tree: SpanningTree, tasks: Iterable[SubtreeTask]) -> int:

@@ -109,3 +109,41 @@ def test_min_outgoing_respects_custom_labels(setup):
         if edge is not None:
             _w, a, bnode = edge
             assert merged[a] != merged[bnode]
+
+
+@pytest.mark.parametrize("backend", ["simulate", "direct"])
+def test_ranked_candidate_scan_equals_brute_force(grid6, grid6_tree, backend):
+    """Each node's candidate — its first neighbour in ``(weight, id)``
+    order heard with another label — equals the brute-force minimum of
+    ``encode_edge_candidate`` over every such neighbour.  Weights
+    repeat (1..3), some labels are ``None``, and weighted twins of one
+    topology (which share its kernel cache) each get their own
+    ranking."""
+    import random
+
+    from repro.apps.encoding import encode_edge_candidate
+    from repro.core.shortcut import TreeRestrictedShortcut
+    from repro.graphs.partitions import voronoi
+
+    partition = voronoi(grid6, 6, seed=3)
+    engine_shortcut = TreeRestrictedShortcut.empty(grid6_tree, partition)
+    for seed in range(3):
+        rng = random.Random(seed)
+        weighted = grid6.with_weights({e: rng.randint(1, 3) for e in grid6.edges})
+        labels = {v: rng.choice([None, 0, 1, 2]) for v in grid6.nodes}
+        engine = PartwiseEngine(weighted, engine_shortcut, seed=1, backend=backend)
+        seen = []
+        flood = engine.minimum_per_part
+        engine.minimum_per_part = lambda values, b: seen.append(values) or flood(values, b)
+        min_outgoing_edges(weighted, engine, len(partition.members(0)), labels=labels)
+        expected = {}
+        for v, own in labels.items():
+            if own is None:
+                continue
+            codes = [
+                encode_edge_candidate(weighted.weight(v, w), v, w, weighted.n)
+                for w in weighted.neighbors(v)
+                if labels[w] != own
+            ]
+            expected[v] = min(codes, default=None)
+        assert seen == [expected]

@@ -50,3 +50,35 @@ def test_phase_record_is_frozen():
     except AttributeError:
         raised = True
     assert raised
+
+
+def test_running_total_matches_a_fresh_sum():
+    """``total_rounds`` adds only the records new since its last read;
+    interleaved charges, merges and direct appends, and a replaced
+    records list, all read back as a fresh sum.  The running total is
+    no part of equality or repr."""
+
+    def fresh(ledger):
+        return sum(r.rounds + r.barrier_rounds for r in ledger.records)
+
+    ledger = RoundLedger(barrier_depth=3)
+    inner = RoundLedger()
+    inner.charge("x", 4, 1)
+    inner.charge_phase("y", 2)
+    steps = [
+        lambda: ledger.charge("a", 5, 2),
+        lambda: ledger.charge_phase("b", 7),
+        lambda: ledger.merge(inner, prefix="in/"),
+        lambda: ledger.records.append(PhaseRecord("direct", 11, 0, 2)),
+        lambda: None,
+        lambda: ledger.charge("c", 0),
+    ]
+    for step in steps * 2:
+        step()
+        assert ledger.total_rounds == fresh(ledger)
+    assert ledger == RoundLedger(barrier_depth=3, records=list(ledger.records))
+    assert "_total" not in repr(ledger)
+    ledger.records = ledger.records[:3]
+    assert ledger.total_rounds == fresh(ledger)
+    ledger.records.append(PhaseRecord("after", 1, 0, 0))
+    assert ledger.total_rounds == fresh(ledger)

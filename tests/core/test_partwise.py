@@ -159,21 +159,21 @@ def test_direct_engine_replays_each_schedule_once(engine_setup, monkeypatch):
     The direct flood works on blocks and never calls
     ``block_aggregate``: its block steps are read off the ledger's
     ``partwise/broadcast#k`` records and its replayed task sets off the
-    ``broadcast_cost`` spy.  The per-step active sets come from a
+    ``replay_schedule`` spy.  The per-step active sets come from a
     simulated engine, whose ``block_aggregate`` runs every step."""
     from repro.core import partwise_fast
 
     topology, partition, shortcut, _engine, b, _l = engine_setup
     real_broadcast = partwise_fast.broadcast_cost
+    real_replay = partwise_fast.replay_schedule
     replays = {"convergecast": [], "broadcast": []}
-    for phase, log in replays.items():
 
-        def spy(tree, tasks, _real=getattr(partwise_fast, f"{phase}_cost"), _log=log):
-            tasks = list(tasks)
-            _log.append(frozenset(task.key for task in tasks))
-            return _real(tree, tasks)
+    def spy(tree, schedule, upward):
+        log = replays["convergecast" if upward else "broadcast"]
+        log.append(frozenset(task.key for task, _members in schedule))
+        return real_replay(tree, schedule, upward)
 
-        monkeypatch.setattr(partwise_fast, f"{phase}_cost", spy)
+    monkeypatch.setattr(partwise_fast, "replay_schedule", spy)
     ledgers = {"simulate": RoundLedger(), "direct": RoundLedger()}
     engines = {
         backend: PartwiseEngine(

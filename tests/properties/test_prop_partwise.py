@@ -20,8 +20,16 @@ from repro.congest.trace import RoundLedger
 from repro.core.partwise import PartwiseEngine
 from repro.core.partwise_fast import BACKENDS
 from repro.core.quality_fast import block_components
-from repro.core.tree_routing import broadcast, convergecast, make_task
+from repro.core.shortcut import TreeRestrictedShortcut
+from repro.core.tree_routing import (
+    SubtreeTask,
+    broadcast,
+    convergecast,
+    make_task,
+    task_edge_congestion,
+)
 from repro.graphs import generators, partitions
+from repro.graphs.partitions import Partition
 from repro.graphs.spanning_trees import SpanningTree
 
 settings.register_profile(
@@ -291,3 +299,78 @@ def test_lemma2_replays_queue_on_contended_links():
     )
     assert partwise_fast.broadcast_cost(tree, tasks) == (bc_run.rounds, bc_run.messages)
     assert cc_run.rounds > tallest and bc_run.rounds > tallest
+
+
+@st.composite
+def walk_shortcuts(draw):
+    """Random ``H_i ⊆ E_T`` over BFS trees of grid, torus and delaunay:
+    per-node labels (disconnected parts, uncovered nodes, one forced
+    singleton part), and each ``H_i`` empty, a random edge subset
+    (components that miss ``P_i`` included) or drawn from a pool every
+    part shares."""
+    family = draw(st.sampled_from(ROUTING_FAMILIES))
+    side = draw(st.integers(3, 6))
+    if family == "delaunay":
+        topology = generators.delaunay(side * side, seed=draw(st.integers(0, 99)))
+    else:
+        topology = getattr(generators, family)(side, side)
+    tree = SpanningTree.bfs(topology, draw(st.integers(0, topology.n - 1)))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    n_parts = rng.randint(1, max(1, topology.n // 3))
+    labels = [rng.randrange(-1, n_parts) for _ in topology.nodes]
+    labels[rng.randrange(topology.n)] = n_parts  # a singleton part
+    partition = Partition.from_labels(labels)
+    tree_edges = sorted(tree.edges)
+    pool = rng.sample(tree_edges, min(len(tree_edges), 5))
+    subgraphs = []
+    for _ in range(partition.size):
+        shape = rng.choice(["empty", "random", "shared"])
+        if shape == "random":
+            subgraphs.append(rng.sample(tree_edges, rng.randint(1, len(tree_edges))))
+        else:
+            subgraphs.append(pool if shape == "shared" else [])
+    shortcut = TreeRestrictedShortcut(tree, partition, subgraphs)
+    return topology, shortcut, rng.randrange(2**16)
+
+
+@given(walk_shortcuts())
+def test_engine_setup_equals_reference_blocks(case):
+    """The engine's one-walk set-up: blocks, block_of and tasks (in
+    order) equal the per-part reference block components, its Lemma 2
+    ``c`` equals ``task_edge_congestion``, and its presorted replays
+    equal ``convergecast_cost``/``broadcast_cost`` on the whole task set
+    and on a random subset."""
+    topology, shortcut, subset_seed = case
+    partition, tree = shortcut.partition, shortcut.tree
+    engine = PartwiseEngine(topology, shortcut, backend="direct")
+    reference = [
+        block
+        for index in range(partition.size)
+        for block in quality.block_components(shortcut, index)
+    ]
+    assert engine.blocks == reference
+    assert engine.block_of == {
+        v: block
+        for block in reference
+        for v in block.nodes
+        if partition.labels[v] == block.part
+    }
+    assert list(engine.tasks.items()) == [
+        (
+            (block.part, block.root),
+            SubtreeTask(block.part, block.root, block.root_depth, block.nodes),
+        )
+        for block in reference
+    ]
+    assert engine._congestion == task_edge_congestion(tree, engine.tasks.values())
+    rng = random.Random(subset_seed)
+    subset = [entry for entry in engine._schedule if rng.random() < 0.5]
+    for chosen in (engine._schedule, subset):
+        tasks = [task for _p, _b, task, _nodes in chosen]
+        schedule = [entry[2:] for entry in chosen]
+        assert partwise_fast.replay_schedule(tree, schedule, upward=True) == (
+            partwise_fast.convergecast_cost(tree, tasks)
+        )
+        assert partwise_fast.replay_schedule(tree, schedule, upward=False) == (
+            partwise_fast.broadcast_cost(tree, tasks)
+        )

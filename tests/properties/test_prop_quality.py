@@ -125,3 +125,59 @@ def test_tree_arrays_consistent(drawn):
         assert set(arrays.subtree(v)) == {
             w for w in range(tree.n) if arrays.is_ancestor(v, w)
         }
+
+
+WALK_FAMILIES = ["grid", "torus"] + (
+    ["delaunay"] if generators.geometry_available() else []
+)
+
+
+@st.composite
+def walk_instances(draw):
+    """Random ``H_i ⊆ E_T`` over BFS trees of grid, torus and delaunay.
+
+    Labels are drawn per node, so parts may be disconnected and nodes
+    uncovered; one node always forms a singleton part.  Each ``H_i`` is
+    empty, a random edge subset (whose components often miss ``P_i``),
+    or drawn from a small pool every part shares."""
+    family = draw(st.sampled_from(WALK_FAMILIES))
+    side = draw(st.integers(3, 6))
+    if family == "delaunay":
+        topology = generators.delaunay(side * side, seed=draw(st.integers(0, 99)))
+    else:
+        topology = getattr(generators, family)(side, side)
+    tree = SpanningTree.bfs(topology, draw(st.integers(0, topology.n - 1)))
+    n_parts = draw(st.integers(1, max(1, topology.n // 3)))
+    labels = draw(
+        st.lists(
+            st.integers(-1, n_parts - 1), min_size=topology.n, max_size=topology.n
+        )
+    )
+    labels[draw(st.integers(0, topology.n - 1))] = n_parts  # a singleton part
+    partition = partitions.Partition.from_labels(labels)
+    tree_edges = sorted(tree.edges)
+    pool = draw(st.lists(st.sampled_from(tree_edges), max_size=6))
+    subgraphs = []
+    for _ in range(partition.size):
+        shape = draw(st.sampled_from(["empty", "random", "shared"]))
+        if shape == "random":
+            subgraphs.append(draw(st.lists(st.sampled_from(tree_edges))))
+        else:
+            subgraphs.append(pool if shape == "shared" else [])
+    return topology, tree, partition, TreeRestrictedShortcut(tree, partition, subgraphs)
+
+
+@given(walk_instances())
+def test_block_tops_name_the_reference_blocks(drawn):
+    """Every block component of the reference is one subtree: its
+    non-root nodes map to the root in ``block_tops``, and the root is
+    absent; blocks and counts agree with the reference."""
+    _topology, tree, partition, shortcut = drawn
+    assert quality_fast.block_counts(shortcut) == quality.block_counts(shortcut)
+    for index in range(partition.size):
+        reference = quality.block_components(shortcut, index)
+        assert quality_fast.block_components(shortcut, index) == reference
+        top = quality_fast.block_tops(tree, shortcut.subgraph(index))
+        for block in reference:
+            assert block.root not in top
+            assert all(top[v] == block.root for v in block.nodes - {block.root})

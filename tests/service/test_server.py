@@ -574,13 +574,15 @@ def test_theorem3_violation_is_internal_error(tmp_path, monkeypatch, batch_windo
 def test_lemma2_violation_is_internal_error(tmp_path, monkeypatch):
     from repro.core import partwise_fast
 
-    real = partwise_fast.convergecast_cost
+    real = partwise_fast.replay_schedule
 
-    def over_reporting(tree, tasks):
-        rounds, messages = real(tree, tasks)
-        return rounds + tree.height + len(tasks) + 3, messages
+    def over_reporting(tree, schedule, upward):
+        rounds, messages = real(tree, schedule, upward)
+        if upward:  # the convergecast; c never exceeds the task count
+            rounds += tree.height + len(schedule) + 3
+        return rounds, messages
 
-    monkeypatch.setattr(partwise_fast, "convergecast_cost", over_reporting)
+    monkeypatch.setattr(partwise_fast, "replay_schedule", over_reporting)
     store = PersistentStore(tmp_path / "store")
     service = ShortcutService(store, workers=2)
     try:
@@ -591,7 +593,7 @@ def test_lemma2_violation_is_internal_error(tmp_path, monkeypatch):
         assert "Lemma 2 convergecast" in response.body["error"]
         assert service.stats_payload()["service"]["guarantee_violations"] == 1
         assert store.stats.writes == 0
-        monkeypatch.setattr(partwise_fast, "convergecast_cost", real)
+        monkeypatch.setattr(partwise_fast, "replay_schedule", real)
         retry = service.handle("mst", request_body())
         assert retry.status == 200
         assert retry.body["warm"] is False
